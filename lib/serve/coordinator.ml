@@ -264,12 +264,48 @@ let send_cancel t (w : wrec) ~key =
 
 (* ---------------- the race ---------------- *)
 
+(* A race is driven by wake-ups, not polling: every attempt thread
+   writes a byte to the race's self-pipe when it settles or fails, and
+   [drive] blocks in [select] on the read end. The only timed wake-up is
+   the hedge deadline. Once [drive] returns it closes the pipe under
+   [rmx] and sets [closed], so a late loser never writes to a reused
+   descriptor. *)
 type race = {
   rmx : Mutex.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable closed : bool;
   mutable settled : (outcome, string) result option;
   mutable active : int;
   mutable errors : string list;  (* newest first *)
 }
+
+let new_race () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
+  { rmx = Mutex.create (); wake_r; wake_w; closed = false; settled = None;
+    active = 0; errors = [] }
+
+(* Caller holds [rmx]. A full pipe already guarantees a wake-up. *)
+let signal_locked race =
+  if not race.closed then
+    try ignore (Unix.single_write_substring race.wake_w "!" 0 1)
+    with Unix.Unix_error _ -> ()
+
+(* Block until an attempt signals or [timeout] seconds pass (forever
+   when negative), then drain the pipe. *)
+let await_signal race ~timeout =
+  match Unix.select [ race.wake_r ] [] [] timeout with
+  | [], _, _ -> ()
+  | _ -> ignore (Unix.read race.wake_r (Bytes.create 64) 0 64)
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+let close_race race =
+  Mutex.lock race.rmx;
+  race.closed <- true;
+  Unix.close race.wake_r;
+  Unix.close race.wake_w;
+  Mutex.unlock race.rmx
 
 let build t ~source ~key ?deadline_ms () : (outcome, string) result =
   let n = Array.length t.workers in
@@ -283,7 +319,8 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
     if up = [] then Error "fleet down: no live workers"
     else begin
       let order = Array.of_list (up @ dn) in
-      let race = { rmx = Mutex.create (); settled = None; active = 0; errors = [] } in
+      let race = new_race () in
+      Fun.protect ~finally:(fun () -> close_race race) @@ fun () ->
       let launch ord =
         let w = order.(ord mod n) in
         Atomic.incr t.s_dispatches;
@@ -318,6 +355,7 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
                    false
                in
                race.active <- race.active - 1;
+               signal_locked race;
                Mutex.unlock race.rmx;
                if won then Histogram.observe t.hist ms
                else begin
@@ -377,16 +415,19 @@ let build t ~source ~key ?deadline_ms () : (outcome, string) result =
                 | [] -> "fleet exhausted"
                 | es -> "fleet exhausted: " ^ String.concat "; " (List.rev es))
           else begin
+            (* Sleep until an attempt signals; while a hedge can still
+               fire, no longer than its deadline. *)
             (match hedge_threshold_ms with
-            | Some ms
-              when (not !hedged) && n > 1
-                   && 1000.0 *. (Unix.gettimeofday () -. started) > ms ->
-              hedged := true;
-              Atomic.incr t.s_hedges;
-              launch !launched;
-              incr launched
-            | _ -> ());
-            Thread.delay 0.02;
+            | Some ms when (not !hedged) && n > 1 ->
+              let left = started +. (ms /. 1000.0) -. Unix.gettimeofday () in
+              if left <= 0.0 then begin
+                hedged := true;
+                Atomic.incr t.s_hedges;
+                launch !launched;
+                incr launched
+              end
+              else await_signal race ~timeout:left
+            | _ -> await_signal race ~timeout:(-1.0));
             drive ()
           end
       in

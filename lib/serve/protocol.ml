@@ -297,20 +297,27 @@ let read_frame ?max_len fd =
   | Ok r -> r
   | Error e -> raise (Framing_error (read_error_to_string e))
 
+let frame payload =
+  let len = String.length payload in
+  let b = Bytes.create (4 + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 b 4 len;
+  Bytes.unsafe_to_string b
+
 (* Labelled writes pass through the net-fault injector; unlabelled
    writes (ordinary client↔server traffic) never do. All verdicts are
-   implemented here so the injector itself stays pure bookkeeping. *)
+   implemented here so the injector itself stays pure bookkeeping.
+
+   Every verdict works on the one header+payload buffer: a whole frame
+   goes out in a single write, so the peer never sits on a 4-byte
+   header while Nagle holds the payload back for a delayed ACK. *)
 let write_frame ?link ?(max_len = max_frame_default) fd payload =
   let len = String.length payload in
   if len > max_len then
     raise (Framing_error (Printf.sprintf "refusing to send %d-byte frame (limit %d)" len max_len));
-  let hdr =
-    String.init 4 (fun i -> Char.chr ((len lsr ((3 - i) * 8)) land 0xFF))
-  in
-  let emit () =
-    write_all fd hdr 0 4;
-    write_all fd payload 0 len
-  in
+  let all = frame payload in
+  let total = 4 + len in
+  let emit () = write_all fd all 0 total in
   match link with
   | None -> emit ()
   | Some link -> (
@@ -326,15 +333,11 @@ let write_frame ?link ?(max_len = max_frame_default) fd payload =
     | Truncate frac ->
       (* A torn frame: part of the bytes, then a half-close so the peer
          reads a hard EOF mid-frame instead of waiting forever. *)
-      let all = hdr ^ payload in
-      let total = 4 + len in
       let keep = max 1 (min (total - 1) (int_of_float (frac *. float_of_int total))) in
       write_all fd all 0 keep;
       (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
     | Drip d ->
       (* The slow-drip socket: the full frame, seven bytes at a time. *)
-      let all = hdr ^ payload in
-      let total = 4 + len in
       let rec go off =
         if off < total then begin
           write_all fd all off (min 7 (total - off));

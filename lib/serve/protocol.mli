@@ -60,10 +60,15 @@ val read_frame_checked :
 val read_frame : ?max_len:int -> Unix.file_descr -> string option
 (** {!read_frame_checked} with errors raised as {!Framing_error}. *)
 
+val frame : string -> string
+(** [frame p] is the encoded frame: [p]'s length as 4 big-endian bytes,
+    then [p]. *)
+
 val write_frame : ?link:string -> ?max_len:int -> Unix.file_descr -> string -> unit
 (** [link] routes the write through {!Soc_fault.Fault.Net} — the frame
     may be dropped, delayed, duplicated, torn or dripped according to
-    the armed plan. Unlabelled writes are never perturbed. *)
+    the armed plan. Unlabelled writes are never perturbed. A delivered
+    frame is {!frame} handed to the socket in one write. *)
 
 (** {2 Requests} *)
 

@@ -403,6 +403,61 @@ let test_coordinator_hedge () =
                          || Remote.cancel_hits w0 + Remote.cancel_hits w1 >= 1));
                   Fault.Service.release_hangs ()))))
 
+let built_or_fail = function
+  | Ok (Coordinator.Built b) -> b
+  | Ok (Coordinator.Build_failed m) -> Alcotest.fail ("build failed: " ^ m)
+  | Error e -> Alcotest.fail ("fleet exhausted: " ^ e)
+
+(* The race wakes when an attempt settles, not on a polling tick: 20
+   warm dispatches cost their round trips, well under the 0.4 s that a
+   20 ms poll per dispatch would add on its own. *)
+let test_coordinator_wakes_on_settle () =
+  with_faults (fun () ->
+      let dir = fresh_dir "fleet-wake" in
+      with_worker ~cache_dir:dir (fun wk ->
+          with_coordinator
+            (coord_config [ ("127.0.0.1", Remote.port wk) ])
+            (fun co ->
+              let source = arch_source Graphs.Arch1 in
+              ignore (built_or_fail (Coordinator.build co ~source ~key:"warm" ()));
+              let t0 = Unix.gettimeofday () in
+              for _ = 1 to 20 do
+                ignore (built_or_fail (Coordinator.build co ~source ~key:"warm" ()))
+              done;
+              let dt = Unix.gettimeofday () -. t0 in
+              check bool (Printf.sprintf "20 warm builds in %.3f s < 0.3 s" dt) true
+                (dt < 0.3))))
+
+(* A hedge deadline far in the future neither fires nor holds anything
+   up: the fast build returns unhedged and [stop] has no timer to wait
+   out. *)
+let test_coordinator_unfired_hedge () =
+  with_faults (fun () ->
+      let dir = fresh_dir "fleet-nohedge" in
+      with_worker ~cache_dir:dir ~worker_id:"w0" (fun w0 ->
+          with_worker ~cache_dir:dir ~worker_id:"w1" (fun w1 ->
+              let co =
+                Coordinator.create
+                  (coord_config ~hedge_after_ms:5000.0
+                     [ ("127.0.0.1", Remote.port w0); ("127.0.0.1", Remote.port w1) ])
+              in
+              let stopped = ref false in
+              Fun.protect ~finally:(fun () -> if not !stopped then Coordinator.stop co)
+              @@ fun () ->
+              let t0 = Unix.gettimeofday () in
+              let b = built_or_fail (Coordinator.build co ~source:(arch_source Graphs.Arch1) ~key:"fast" ()) in
+              let build_s = Unix.gettimeofday () -. t0 in
+              check bool "manifest served" true (b.Coordinator.manifest <> "");
+              check bool (Printf.sprintf "returned in %.3f s, long before the hedge" build_s)
+                true (build_s < 5.0);
+              check int "no hedge launched" 0 (Coordinator.stats co).Coordinator.hedges;
+              let t1 = Unix.gettimeofday () in
+              Coordinator.stop co;
+              stopped := true;
+              let stop_s = Unix.gettimeofday () -. t1 in
+              check bool (Printf.sprintf "stop returned in %.3f s" stop_s) true
+                (stop_s < 0.25))))
+
 (* ------------------------------------------------------------------ *)
 (* The server in fleet mode                                            *)
 (* ------------------------------------------------------------------ *)
@@ -529,6 +584,10 @@ let suite =
       test_coordinator_all_down;
     Alcotest.test_case "coordinator: stragglers are hedged, losers cancelled"
       `Quick test_coordinator_hedge;
+    Alcotest.test_case "coordinator: the race wakes on settle, not a poll" `Quick
+      test_coordinator_wakes_on_settle;
+    Alcotest.test_case "coordinator: an unfired hedge leaves no timer" `Quick
+      test_coordinator_unfired_hedge;
     Alcotest.test_case "server: fleet manifest byte-matches direct farm" `Quick
       test_server_fleet_parity;
     Alcotest.test_case "server: coalescing spans the remote path" `Quick

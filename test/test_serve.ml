@@ -109,12 +109,6 @@ let raw_send fd s =
 
 let raw_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let frame_of payload =
-  let n = String.length payload in
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int n);
-  Bytes.to_string hdr ^ payload
-
 (* ------------------------------------------------------------------ *)
 (* Protocol: JSON                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -240,6 +234,66 @@ let test_framing_oversize () =
         (match Protocol.write_frame ~max_len:8 wfd "123456789" with
         | exception Protocol.Framing_error _ -> true
         | _ -> false))
+
+let prop_frame_roundtrip =
+  QCheck.Test.make ~name:"protocol frame/read_frame roundtrip" ~count:200
+    QCheck.(string_of_size Gen.(int_bound 2000))
+    (fun p ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close a;
+          Unix.close b)
+        (fun () ->
+          let f = Protocol.frame p in
+          raw_send a f;
+          String.length f = 4 + String.length p && Protocol.read_frame b = Some p))
+
+(* A loopback TCP pair: (client end, server end). *)
+let with_tcp_pair f =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port = match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect c (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let s, _ = Unix.accept lsock in
+  Unix.close lsock;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close c;
+      Unix.close s)
+    (fun () -> f c s)
+
+(* A frame split over two writes reaches a loopback peer as two
+   segments (and, with Nagle and delayed ACK, ~40 ms apart): the first
+   read after [select] then sees only the header. One write delivers the
+   whole frame to that first read, on every exchange. *)
+let test_frame_single_write () =
+  with_tcp_pair (fun c s ->
+      let buf = Bytes.create 65536 in
+      let one_read fd =
+        ignore (Unix.select [ fd ] [] [] 5.0);
+        Bytes.sub_string buf 0 (Unix.read fd buf 0 (Bytes.length buf))
+      in
+      for i = 1 to 24 do
+        let req = String.make (40 * i) 'q' and resp = String.make (97 * i) 'r' in
+        Protocol.write_frame c req;
+        check Alcotest.string (Printf.sprintf "request %d arrives whole" i)
+          (Protocol.frame req) (one_read s);
+        Protocol.write_frame s resp;
+        check Alcotest.string (Printf.sprintf "response %d arrives whole" i)
+          (Protocol.frame resp) (one_read c)
+      done)
+
+let test_ping_round_trips_unstalled () =
+  with_server ~workers:1 (fun _srv client ->
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to 50 do
+        check Alcotest.bool "pong" true (Client.ping client)
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      check Alcotest.bool (Printf.sprintf "50 pings in %.3f s < 1 s" dt) true (dt < 1.0))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol: request / response vocabulary                             *)
@@ -1026,7 +1080,7 @@ let test_serve_wire_fuzz () =
         | _ ->
           (* well-framed payload that is not JSON *)
           raw_send fd
-            (frame_of
+            (Protocol.frame
                (String.init (Random.State.int rng 32) (fun _ ->
                     Char.chr (32 + Random.State.int rng 95)))));
         raw_close fd
@@ -1085,4 +1139,8 @@ let suite =
     ("serve: idle sessions reaped", `Quick, test_serve_idle_session_timeout);
     ("serve: wire abuse never takes the daemon down", `Quick, test_serve_wire_fuzz);
     qtest prop_json_roundtrip;
+    qtest prop_frame_roundtrip;
+    ("protocol frame goes out in one write", `Quick, test_frame_single_write);
+    ("protocol 50 pings on one connection under 1 s", `Quick,
+     test_ping_round_trips_unstalled);
   ]
