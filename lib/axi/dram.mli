@@ -1,9 +1,12 @@
 (** Word-addressed shared DRAM model (the Zynq DDR), accessed by the GPP
     and the DMA engines. Timing: first-word latency plus a sustained
-    per-beat rate, like a DDR controller servicing AXI bursts. *)
+    per-beat rate, like a DDR controller servicing AXI bursts. Storage is
+    sparse: pages are allocated on first write, and a word never written
+    reads 0. *)
 
-type t = {
-  words : int array;
+type t = private {
+  size : int;
+  pages : int array array;
   first_word_latency : int;
   beats_per_cycle : int;
   mutable reads : int;
@@ -15,9 +18,10 @@ val create : ?first_word_latency:int -> ?beats_per_cycle:int -> words:int -> uni
 val size : t -> int
 
 val read : t -> int -> int
-(** Raises [Invalid_argument] out of range. *)
+(** Raises [Invalid_argument] out of range; 0 for a word never written. *)
 
 val write : t -> int -> int -> unit
+(** Stores the low 32 bits. Raises [Invalid_argument] out of range. *)
 
 val read_block : t -> addr:int -> len:int -> int array
 val write_block : t -> addr:int -> int array -> unit

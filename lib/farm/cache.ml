@@ -15,7 +15,7 @@ type tape_stats = { tape_hits : int; tape_disk_hits : int; tape_stores : int }
 type t = {
   lock : Mutex.t;
   mem : (string, Soc_hls.Engine.accel) Hashtbl.t;
-  tape_mem : (string, Soc_rtl_compile.Tape.t) Hashtbl.t;
+  tape_mem : (string, Soc_rtl_compile.Csim.compiled) Hashtbl.t;
   disk_dir : string option;
   max_bytes : int option;
   fsync : bool;
@@ -332,25 +332,26 @@ let find_tape t ~key =
         match tape_disk_read t key with
         | Some tape ->
           t.tape_disk_hits <- t.tape_disk_hits + 1;
-          Hashtbl.replace t.tape_mem key tape;
-          Some tape
+          let entry = Soc_rtl_compile.Csim.compiled tape in
+          Hashtbl.replace t.tape_mem key entry;
+          Some entry
         | None -> None))
 
-let store_tape t ~key tape =
+(* Overwrites: the engine stores on a miss, or over an entry it rejected
+   on load — which must be replaced in memory and on disk alike. *)
+let store_tape t ~key entry =
   locked t (fun () ->
-      if not (Hashtbl.mem t.tape_mem key) then begin
-        Hashtbl.replace t.tape_mem key tape;
-        t.tape_stores <- t.tape_stores + 1;
-        match t.disk_dir with
-        | None -> ()
-        | Some dir -> (
-          try
-            ensure_dir dir;
-            let payload = Soc_rtl_compile.Tape.serialize tape in
-            Soc_util.Atomic_io.write_file ~fsync:t.fsync (tape_path dir key)
-              (encode_entry payload)
-          with _ -> ())
-      end)
+      Hashtbl.replace t.tape_mem key entry;
+      t.tape_stores <- t.tape_stores + 1;
+      match t.disk_dir with
+      | None -> ()
+      | Some dir -> (
+        try
+          ensure_dir dir;
+          let tape = Soc_rtl_compile.Csim.compiled_tape entry in
+          let payload = Soc_rtl_compile.Tape.serialize tape in
+          Soc_util.Atomic_io.write_file ~fsync:t.fsync (tape_path dir key) (encode_entry payload)
+        with _ -> ()))
 
 let tape_stats t =
   locked t (fun () ->

@@ -82,8 +82,13 @@ type tape_stats = {
   tape_stores : int;  (** tapes compiled and stored this run *)
 }
 
-val find_tape : t -> key:string -> Soc_rtl_compile.Tape.t option
-val store_tape : t -> key:string -> Soc_rtl_compile.Tape.t -> unit
+val find_tape : t -> key:string -> Soc_rtl_compile.Csim.compiled option
+(** Memory first, then the verified disk layer. An entry carries its
+    executor program once the first simulator has been built from it. *)
+
+val store_tape : t -> key:string -> Soc_rtl_compile.Csim.compiled -> unit
+(** Stores or replaces the entry, in memory and on disk. *)
+
 val tape_stats : t -> tape_stats
 
 val enable_tape_cache : t -> unit

@@ -19,7 +19,16 @@
 module Fsmd = Soc_hls.Fsmd
 module Sim = Soc_rtl_compile.Engine
 
-type rtl_engine = { fsmd : Fsmd.t; sim : Sim.t }
+(* The per-cycle glue runs on bindings resolved once, when they are
+   made: each stream binding carries its FIFO, the datapath's handshake
+   signals and (outputs) its protocol monitor, in binding-list order. *)
+type rtl_engine = {
+  fsmd : Fsmd.t;
+  sim : Sim.t;
+  args : (Soc_rtl.Netlist.signal * int) array; (* scalar input, argument offset *)
+  mutable ins : (Soc_axi.Fifo.t * Fsmd.stream_in_sigs) array;
+  mutable outs : (Soc_axi.Fifo.t * Fsmd.stream_out_sigs * Soc_axi.Stream_rules.t) array;
+}
 
 type behavioral_engine = {
   cfg : Soc_kernel.Cfg.t;
@@ -75,8 +84,12 @@ let make_common ~name ~engine ~regfile ~scalar_in_ports ~scalar_out_ports
   }
 
 let create ?backend ~name ~(fsmd : Fsmd.t) ~regfile () =
+  (* Scalar inputs come first in the argument block (see [arg_offsets]). *)
+  let args =
+    Array.of_list (List.mapi (fun i (_, s) -> (s, Soc_axi.Lite.arg_offset i)) fsmd.scalar_in)
+  in
   make_common ~name
-    ~engine:(Rtl { fsmd; sim = Sim.create ?backend fsmd.netlist })
+    ~engine:(Rtl { fsmd; sim = Sim.create ?backend fsmd.netlist; args; ins = [||]; outs = [||] })
     ~regfile
     ~scalar_in_ports:(List.map fst fsmd.scalar_in)
     ~scalar_out_ports:(List.map fst fsmd.scalar_out)
@@ -115,19 +128,37 @@ let arg_offset t port =
   | Some off -> off
   | None -> invalid_arg (t.name ^ ": no scalar port " ^ port)
 
+let resolve_bindings t =
+  match t.engine with
+  | Rtl e ->
+    e.ins <-
+      Array.of_list
+        (List.map
+           (fun (port, fifo) -> (fifo, List.assoc port e.fsmd.Fsmd.stream_in))
+           t.in_bindings);
+    e.outs <-
+      Array.of_list
+        (List.map
+           (fun (port, fifo) ->
+             (fifo, List.assoc port e.fsmd.Fsmd.stream_out, List.assoc port t.monitors))
+           t.out_bindings)
+  | Behavioral _ -> ()
+
 let bind_input t ~port fifo =
   if not (List.mem port t.stream_in_ports) then
     invalid_arg (t.name ^ ": no input stream " ^ port);
   if List.mem_assoc port t.in_bindings then
     invalid_arg (t.name ^ ": input stream " ^ port ^ " already bound");
-  t.in_bindings <- (port, fifo) :: t.in_bindings
+  t.in_bindings <- (port, fifo) :: t.in_bindings;
+  resolve_bindings t
 
 let bind_output t ~port fifo =
   if not (List.mem port t.stream_out_ports) then
     invalid_arg (t.name ^ ": no output stream " ^ port);
   if List.mem_assoc port t.out_bindings then
     invalid_arg (t.name ^ ": output stream " ^ port ^ " already bound");
-  t.out_bindings <- (port, fifo) :: t.out_bindings
+  t.out_bindings <- (port, fifo) :: t.out_bindings;
+  resolve_bindings t
 
 let unbound_streams t =
   List.filter_map
@@ -171,48 +202,44 @@ let finish t ~out_scalars =
 (* RTL cycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let step_rtl t ({ fsmd; sim } : rtl_engine) =
+let step_rtl t ({ fsmd; sim; args; ins; outs } : rtl_engine) =
   Sim.set_input sim fsmd.Fsmd.ap_start (if started t then 1 else 0);
-  List.iter
-    (fun (port, signal) ->
-      Sim.set_input sim signal (Soc_axi.Lite.rf_peek t.regfile ~offset:(arg_offset t port)))
-    fsmd.Fsmd.scalar_in;
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_in in
-      match Soc_axi.Fifo.front fifo with
-      | Some v ->
-        Sim.set_input sim sigs.Fsmd.in_tvalid 1;
-        Sim.set_input sim sigs.Fsmd.in_tdata v
-      | None -> Sim.set_input sim sigs.Fsmd.in_tvalid 0)
-    t.in_bindings;
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_out in
-      Sim.set_input sim sigs.Fsmd.out_tready (if Soc_axi.Fifo.can_push fifo then 1 else 0))
-    t.out_bindings;
+  for i = 0 to Array.length args - 1 do
+    let signal, offset = args.(i) in
+    Sim.set_input sim signal (Soc_axi.Lite.rf_peek t.regfile ~offset)
+  done;
+  for i = 0 to Array.length ins - 1 do
+    let fifo, sigs = ins.(i) in
+    match Soc_axi.Fifo.front fifo with
+    | Some v ->
+      Sim.set_input sim sigs.Fsmd.in_tvalid 1;
+      Sim.set_input sim sigs.Fsmd.in_tdata v
+    | None -> Sim.set_input sim sigs.Fsmd.in_tvalid 0
+  done;
+  for i = 0 to Array.length outs - 1 do
+    let fifo, sigs, _ = outs.(i) in
+    Sim.set_input sim sigs.Fsmd.out_tready (if Soc_axi.Fifo.can_push fifo then 1 else 0)
+  done;
   Sim.settle sim;
   let moved = ref false in
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_in in
-      if Sim.value sim sigs.Fsmd.in_tready = 1 && not (Soc_axi.Fifo.is_empty fifo) then begin
-        ignore (Soc_axi.Fifo.pop fifo);
-        moved := true
-      end)
-    t.in_bindings;
-  List.iter
-    (fun (port, fifo) ->
-      let sigs = List.assoc port fsmd.Fsmd.stream_out in
-      let tvalid = Sim.value sim sigs.Fsmd.out_tvalid = 1 in
-      let tready = Soc_axi.Fifo.can_push fifo in
-      let tdata = Sim.value sim sigs.Fsmd.out_tdata in
-      Soc_axi.Stream_rules.observe (List.assoc port t.monitors) ~tvalid ~tdata ~tready;
-      if tvalid && tready then begin
-        Soc_axi.Fifo.push fifo tdata;
-        moved := true
-      end)
-    t.out_bindings;
+  for i = 0 to Array.length ins - 1 do
+    let fifo, sigs = ins.(i) in
+    if Sim.value sim sigs.Fsmd.in_tready = 1 && not (Soc_axi.Fifo.is_empty fifo) then begin
+      ignore (Soc_axi.Fifo.pop fifo);
+      moved := true
+    end
+  done;
+  for i = 0 to Array.length outs - 1 do
+    let fifo, sigs, monitor = outs.(i) in
+    let tvalid = Sim.value sim sigs.Fsmd.out_tvalid = 1 in
+    let tready = Soc_axi.Fifo.can_push fifo in
+    let tdata = Sim.value sim sigs.Fsmd.out_tdata in
+    Soc_axi.Stream_rules.observe monitor ~tvalid ~tdata ~tready;
+    if tvalid && tready then begin
+      Soc_axi.Fifo.push fifo tdata;
+      moved := true
+    end
+  done;
   if Sim.value sim fsmd.Fsmd.ap_done = 1 then
     finish t
       ~out_scalars:

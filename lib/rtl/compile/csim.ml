@@ -15,9 +15,17 @@
     is unobservable — the register keeps its value, the write is dropped —
     exactly as the interpreter's evaluate-and-discard.
 
-    The dispatch loop uses unsafe array accesses, so {!of_tape} validates
-    every slot index and segment range of a (possibly cache-loaded) tape
-    up front and raises {!Tape_mismatch} instead of corrupting memory. *)
+    The dispatch loop uses unsafe array accesses, so {!instantiate}
+    validates every slot index and segment range of a (possibly
+    cache-loaded) tape up front and raises {!Tape_mismatch} instead of
+    corrupting memory.
+
+    A simulator is split in two. The {!program} is immutable: packed
+    settle/tick code, commit tables and the specialized tick variants. It
+    is built once per {!compiled} tape, on its first instantiation, and
+    shared by every later one — so a tape-cache entry pays for
+    specialization once. The instance {!t} owns only the mutable state:
+    store, memories and scratch. *)
 
 module Netlist = Soc_rtl.Netlist
 
@@ -34,25 +42,34 @@ type variant = {
   v_mem : int array; (* stride 8, wen may be -1 / -2 *)
 }
 
-type t = {
-  net : Netlist.t;
-  tape : Tape.t;
-  store : int array;
-  inputs : bool array; (* by sid: may this slot be driven via set_input? *)
+(* The immutable executor program of one tape. *)
+type program = {
   settle_code : int array; (* packed: op, dst, a, b, c, msk *)
   tick_code : int array;
   prologue_end : int; (* packed length of the unconditional tick prefix *)
   reg_code : int array; (* packed: q, next, en, reset, seg_off, seg_end *)
   mem_code : int array; (* packed: raddr, wen, waddr, wdata, rdata, size, seg_off, seg_end *)
-  mem_data : int array array; (* per memory, in netlist order *)
-  mem_tbl : (string, int array) Hashtbl.t;
-  reg_scratch : int array;
-  mem_rd_scratch : int array;
-  mem_wr_scratch : int array; (* waddr (or -1), wdata; stride 2 *)
   spec_slot : int; (* dispatch register's store slot, or -1 = no specialization *)
   spec_mask : int;
   spec : variant array; (* indexed by the dispatch register's value *)
   spec_consts : (int * int) array; (* extra pool constants minted by specialization *)
+  n_store : int; (* store size: tape slots plus specialization temporaries *)
+}
+
+(* A tape as the tape cache holds it: the program slot is filled by the
+   first instantiation and read by every later one. *)
+type compiled = { ctape : Tape.t; program : program option Atomic.t }
+
+type t = {
+  net : Netlist.t;
+  compiled : compiled;
+  prog : program;
+  store : int array;
+  inputs : bool array; (* by sid: may this slot be driven via set_input? *)
+  mem_data : int array array; (* per memory, in netlist order *)
+  reg_scratch : int array;
+  mem_rd_scratch : int array;
+  mem_wr_scratch : int array; (* waddr (or -1), wdata; stride 2 *)
   mutable cycle : int;
 }
 
@@ -135,8 +152,8 @@ let run_range store code lo hi =
 let run_code store code = run_range store code 0 (Array.length code)
 
 let apply_consts t =
-  Array.iter (fun (slot, v) -> t.store.(slot) <- v) t.tape.consts;
-  Array.iter (fun (slot, v) -> t.store.(slot) <- v) t.spec_consts
+  Array.iter (fun (slot, v) -> t.store.(slot) <- v) t.compiled.ctape.consts;
+  Array.iter (fun (slot, v) -> t.store.(slot) <- v) t.prog.spec_consts
 
 (* ------------------------------------------------------------------ *)
 (* Tick specialization                                                 *)
@@ -225,7 +242,7 @@ let pack_variant (mems_arr : Netlist.mem array) (sp : Opt.tick_spec) =
 
 let init_state t =
   apply_consts t;
-  let rc = t.reg_code in
+  let rc = t.prog.reg_code in
   for r = 0 to (Array.length rc / 6) - 1 do
     t.store.(rc.(6 * r)) <- rc.((6 * r) + 3)
   done;
@@ -241,13 +258,13 @@ let init_state t =
       | None -> Array.fill data 0 (Array.length data) 0)
     t.net.mems
 
-(* Instantiate a compiled tape against the netlist it was lowered from.
-   Memory geometry and backing arrays come from the netlist (the tape is
+(* Check a tape against the netlist it is instantiated for. Memory
+   geometry and backing arrays come from the netlist (the tape is
    content-addressed by the netlist, so they can never disagree on a cache
    hit — the checks below catch a corrupt or mis-keyed entry), and every
-   slot index and segment range is bounds-checked here because the
-   dispatch loop runs unchecked. *)
-let of_tape (tape : Tape.t) (net : Netlist.t) =
+   slot index and segment range is bounds-checked because the dispatch
+   loop runs unchecked. *)
+let check_tape (tape : Tape.t) (net : Netlist.t) =
   if tape.n_signals <> Netlist.signal_count net then
     raise (Tape_mismatch "signal count");
   if Array.length tape.mem_commits <> List.length net.mems then
@@ -274,24 +291,13 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
     if len < 0 || off < tape.prologue || off + len > n_tick then
       raise (Tape_mismatch "segment range")
   in
-  let n_regs = Array.length tape.reg_commits in
-  let n_mems = Array.length tape.mem_commits in
-  let reg_code = Array.make (6 * n_regs) 0 in
-  Array.iteri
-    (fun i (r : Tape.reg_commit) ->
+  Array.iter
+    (fun (r : Tape.reg_commit) ->
       check "reg q" r.rc_q;
       check "reg next" r.rc_next;
       if r.rc_en >= 0 then check "reg enable" r.rc_en;
-      check_seg r.rc_off r.rc_len;
-      reg_code.(6 * i) <- r.rc_q;
-      reg_code.((6 * i) + 1) <- r.rc_next;
-      reg_code.((6 * i) + 2) <- r.rc_en;
-      reg_code.((6 * i) + 3) <- r.rc_reset;
-      reg_code.((6 * i) + 4) <- 6 * r.rc_off;
-      reg_code.((6 * i) + 5) <- 6 * (r.rc_off + r.rc_len))
+      check_seg r.rc_off r.rc_len)
     tape.reg_commits;
-  let mem_code = Array.make (8 * n_mems) 0 in
-  let mems_arr = Array.of_list net.mems in
   Array.iteri
     (fun i (m : Tape.mem_commit) ->
       (* The lowering emits commits in netlist memory order; [tick] and
@@ -302,7 +308,26 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
       check "mem waddr" m.mc_waddr;
       check "mem wdata" m.mc_wdata;
       check "mem rdata" m.mc_rdata;
-      check_seg m.mc_off m.mc_len;
+      check_seg m.mc_off m.mc_len)
+    tape.mem_commits
+
+(* Pack a tape that passed [check_tape] into its executor program, and
+   specialize its tick tape on the dispatch register. *)
+let build_program (tape : Tape.t) (net : Netlist.t) =
+  let mems_arr = Array.of_list net.mems in
+  let reg_code = Array.make (6 * Array.length tape.reg_commits) 0 in
+  Array.iteri
+    (fun i (r : Tape.reg_commit) ->
+      reg_code.(6 * i) <- r.rc_q;
+      reg_code.((6 * i) + 1) <- r.rc_next;
+      reg_code.((6 * i) + 2) <- r.rc_en;
+      reg_code.((6 * i) + 3) <- r.rc_reset;
+      reg_code.((6 * i) + 4) <- 6 * r.rc_off;
+      reg_code.((6 * i) + 5) <- 6 * (r.rc_off + r.rc_len))
+    tape.reg_commits;
+  let mem_code = Array.make (8 * Array.length tape.mem_commits) 0 in
+  Array.iteri
+    (fun i (m : Tape.mem_commit) ->
       mem_code.(8 * i) <- m.mc_raddr;
       mem_code.((8 * i) + 1) <- m.mc_wen;
       mem_code.((8 * i) + 2) <- m.mc_waddr;
@@ -312,11 +337,6 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
       mem_code.((8 * i) + 6) <- 6 * m.mc_off;
       mem_code.((8 * i) + 7) <- 6 * (m.mc_off + m.mc_len))
     tape.mem_commits;
-  let mem_data = Array.map (fun (m : Netlist.mem) -> Array.make m.size 0) mems_arr in
-  let mem_tbl = Hashtbl.create 4 in
-  Array.iteri (fun i (m : Netlist.mem) -> Hashtbl.replace mem_tbl m.mem_name mem_data.(i)) mems_arr;
-  let inputs = Array.make (max 1 tape.n_signals) false in
-  List.iter (fun (s : Netlist.signal) -> inputs.(s.sid) <- true) net.inputs;
   let spec_slot, spec_mask, spec, spec_consts, n_slots =
     match spec_candidate net with
     | None -> (-1, 0, [||], [||], tape.n_slots)
@@ -324,31 +344,64 @@ let of_tape (tape : Tape.t) (net : Netlist.t) =
       let variants, extra, n_slots = Opt.specialize_tick tape ~slot ~width in
       (slot, (1 lsl width) - 1, Array.map (pack_variant mems_arr) variants, extra, n_slots)
   in
+  {
+    settle_code = pack_code tape.settle;
+    tick_code = pack_code tape.tick;
+    prologue_end = 6 * tape.prologue;
+    reg_code;
+    mem_code;
+    spec_slot;
+    spec_mask;
+    spec;
+    spec_consts;
+    n_store = max tape.n_slots n_slots;
+  }
+
+let compiled tape = { ctape = tape; program = Atomic.make None }
+let compiled_tape c = c.ctape
+
+(* Instantiate a compiled tape against the netlist it was lowered from:
+   the checks run every time, the program is built on the first call
+   only, and the rest is fresh mutable state. A program is keyed by the
+   netlist's content, so any netlist passing [check_tape] with the same
+   memory sizes can share it. *)
+let instantiate c (net : Netlist.t) =
+  check_tape c.ctape net;
+  let prog =
+    match Atomic.get c.program with
+    | Some p -> p
+    | None ->
+      let p = build_program c.ctape net in
+      if Atomic.compare_and_set c.program None (Some p) then p
+      else Option.get (Atomic.get c.program)
+  in
+  let mems_arr = Array.of_list net.mems in
+  Array.iteri
+    (fun i (m : Netlist.mem) ->
+      if prog.mem_code.((8 * i) + 5) <> m.size then raise (Tape_mismatch "memory size"))
+    mems_arr;
+  let n_regs = Array.length prog.reg_code / 6 in
+  let n_mems = Array.length mems_arr in
+  let inputs = Array.make (max 1 c.ctape.n_signals) false in
+  List.iter (fun (s : Netlist.signal) -> inputs.(s.sid) <- true) net.inputs;
   let t =
     {
       net;
-      tape;
-      store = Array.make (max tape.n_slots n_slots) 0;
+      compiled = c;
+      prog;
+      store = Array.make prog.n_store 0;
       inputs;
-      settle_code = pack_code tape.settle;
-      tick_code = pack_code tape.tick;
-      prologue_end = 6 * tape.prologue;
-      reg_code;
-      mem_code;
-      mem_data;
-      mem_tbl;
+      mem_data = Array.map (fun (m : Netlist.mem) -> Array.make m.size 0) mems_arr;
       reg_scratch = Array.make n_regs disabled;
       mem_rd_scratch = Array.make n_mems 0;
       mem_wr_scratch = Array.make (2 * n_mems) (-1);
-      spec_slot;
-      spec_mask;
-      spec;
-      spec_consts;
       cycle = 0;
     }
   in
   init_state t;
   t
+
+let of_tape tape net = instantiate (compiled tape) net
 
 (* The verified compilation pipeline: lower, validate the lowering, then
    run the optimizer with the translation validator checkpointed after
@@ -370,19 +423,26 @@ let compile_tape ?observe net =
 
 let create ?observe net = of_tape (compile_tape ?observe net) net
 
-let tape t = t.tape
-let stats t = t.tape.stats
+let compiled_of t = t.compiled
+let tape t = t.compiled.ctape
+let stats t = (tape t).stats
 
 let set_input t (s : Netlist.signal) v =
   if s.sid < 0 || s.sid >= Array.length t.inputs || not t.inputs.(s.sid) then
     invalid_arg ("Csim.set_input: " ^ s.sname ^ " is not an input");
   t.store.(s.sid) <- v land Soc_util.Bits.mask s.width
 
-let settle t = run_code t.store t.settle_code
+let settle t = run_code t.store t.prog.settle_code
 
 let value t (s : Netlist.signal) = t.store.(s.sid)
 
-let mem_contents t name = Hashtbl.find_opt t.mem_tbl name
+let mem_contents t name =
+  let rec find i = function
+    | [] -> None
+    | (m : Netlist.mem) :: rest ->
+      if m.mem_name = name then Some t.mem_data.(i) else find (i + 1) rest
+  in
+  find 0 t.net.mems
 
 (* Clock edge, mirroring Sim.tick phase for phase: run the prologue, run
    each enabled segment and gather its register next / memory port into
@@ -441,11 +501,12 @@ let tick_with t code prologue_end rc mc =
   t.cycle <- t.cycle + 1
 
 let tick t =
-  if t.spec_slot >= 0 then begin
-    let v = t.spec.(t.store.(t.spec_slot) land t.spec_mask) in
+  let p = t.prog in
+  if p.spec_slot >= 0 then begin
+    let v = p.spec.(t.store.(p.spec_slot) land p.spec_mask) in
     tick_with t v.v_code v.v_prologue_end v.v_reg v.v_mem
   end
-  else tick_with t t.tick_code t.prologue_end t.reg_code t.mem_code
+  else tick_with t p.tick_code p.prologue_end p.reg_code p.mem_code
 
 let cycle t = t.cycle
 

@@ -27,9 +27,13 @@ let default = ref Compiled
 let set_default_backend b = default := b
 let default_backend () = !default
 
+(* Cache entries are {!Csim.compiled} tapes, so the executor program
+   built by the first instantiation is shared by every later hit.
+   [tc_store] overwrites: it is called on a miss, and over an entry that
+   failed to load. *)
 type tape_cache = {
-  tc_find : key:string -> Tape.t option;
-  tc_store : key:string -> Tape.t -> unit;
+  tc_find : key:string -> Csim.compiled option;
+  tc_store : key:string -> Csim.compiled -> unit;
 }
 
 let cache : tape_cache option ref = ref None
@@ -121,30 +125,27 @@ let compile net =
   | Some c ->
     let key = Tape.netlist_key net in
     if degraded_key key then raise (Degraded key);
+    let recompile () =
+      let csim = fresh () in
+      c.tc_store ~key (Csim.compiled_of csim);
+      csim
+    in
     (match c.tc_find ~key with
-    | Some tape -> (
+    | Some entry -> (
       (* A deserialized tape is untrusted until re-verified — the unsafe
          dispatch loop must never run a tape that only *looks* like the
          one that was stored. A mismatched or invalid entry (corrupt
          store, key collision) must never take the simulation down —
          note it and recompile over it. *)
       Atomic.incr reverifies;
-      match Verify.check ~stage:"cache-load" ~net tape with
+      match Verify.check ~stage:"cache-load" ~net (Csim.compiled_tape entry) with
       | () -> (
-        try Csim.of_tape tape net
-        with Csim.Tape_mismatch _ | Tape.Parse_error _ ->
-          let csim = fresh () in
-          c.tc_store ~key (Csim.tape csim);
-          csim)
+        try Csim.instantiate entry net
+        with Csim.Tape_mismatch _ | Tape.Parse_error _ -> recompile ())
       | exception Verify.Tape_invalid err ->
         note_verify_failure err;
-        let csim = fresh () in
-        c.tc_store ~key (Csim.tape csim);
-        csim)
-    | None ->
-      let csim = fresh () in
-      c.tc_store ~key (Csim.tape csim);
-      csim)
+        recompile ())
+    | None -> recompile ())
 
 (* Precompile a netlist into the installed cache (no simulator needed):
    lets the farm pay the lowering cost at synthesis time so later
@@ -163,7 +164,7 @@ let precompile net =
         incr lowerings;
         Csim.compile_tape net
       with
-      | tape -> c.tc_store ~key tape
+      | tape -> c.tc_store ~key (Csim.compiled tape)
       | exception (Soc_fault.Fault.Killed _ as e) -> raise e
       | exception e ->
         (match e with Verify.Tape_invalid err -> note_verify_failure err | _ -> ());

@@ -379,6 +379,38 @@ let test_rules_valid_drop_detected () =
        (function Stream_rules.Valid_dropped _ -> true | _ -> false)
        (Stream_rules.violations m))
 
+(* Sparse storage: the range check sits at the device size (which need
+   not fill its last page), unwritten words read 0, and blocks straddle
+   page boundaries. *)
+let test_dram_sparse () =
+  let size = 5000 in
+  let d = Dram.create ~words:size () in
+  check Alcotest.int "size" size (Dram.size d);
+  check Alcotest.int "word 0 reads 0" 0 (Dram.read d 0);
+  check Alcotest.int "last word reads 0" 0 (Dram.read d (size - 1));
+  Dram.write d 0 7;
+  Dram.write d (size - 1) 9;
+  check Alcotest.int "word 0" 7 (Dram.read d 0);
+  check Alcotest.int "last word" 9 (Dram.read d (size - 1));
+  Alcotest.check_raises "read at size"
+    (Invalid_argument (Printf.sprintf "Dram.read: address %d out of range" size))
+    (fun () -> ignore (Dram.read d size));
+  Alcotest.check_raises "write at size"
+    (Invalid_argument (Printf.sprintf "Dram.write: address %d out of range" size))
+    (fun () -> Dram.write d size 1);
+  Alcotest.check_raises "read below 0" (Invalid_argument "Dram.read: address -1 out of range")
+    (fun () -> ignore (Dram.read d (-1)));
+  Dram.write d 100 0x1_2345_6789;
+  check Alcotest.int "truncated to 32 bits" 0x2345_6789 (Dram.read d 100);
+  let block = Array.init 12 (fun i -> i + 1) in
+  Dram.write_block d ~addr:4090 block;
+  check (Alcotest.list Alcotest.int) "block across a page boundary" (Array.to_list block)
+    (Array.to_list (Dram.read_block d ~addr:4090 ~len:12));
+  check Alcotest.int "before the block" 0 (Dram.read d 4089);
+  check Alcotest.int "after the block" 0 (Dram.read d 4102);
+  check Alcotest.int "writes counted" 15 d.Dram.writes;
+  check Alcotest.int "reads counted" 19 d.Dram.reads
+
 let suite =
   [
     ("fifo registered propagation", `Quick, test_fifo_registered_propagation);
@@ -414,4 +446,5 @@ let suite =
     ("rules: valid drop", `Quick, test_rules_valid_drop_detected);
     qtest prop_fifo_conservation;
     qtest prop_dma_roundtrip_is_memcpy;
+    ("dram sparse pages", `Quick, test_dram_sparse);
   ]

@@ -431,6 +431,70 @@ let test_vcd_byte_identical_on_otsu () =
   check Alcotest.bool "VCD byte-identical" true
     (Soc_rtl.Vcd.to_string vcd_i = Soc_rtl.Vcd.to_string vcd_c)
 
+(* ------------------------------------------------------------------ *)
+(* Program/instance split                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Two simulators instantiated from one cached tape share its executor
+   program (built, with its tick specialization, on the first
+   instantiation only) but nothing mutable: driven alike, they agree on
+   every output and memory word, cycle by cycle. *)
+let test_cached_tape_shares_program () =
+  let accel = Soc_hls.Engine.synthesize Soc_apps.Filters.add_kernel in
+  let net = accel.Soc_hls.Engine.fsmd.Soc_hls.Fsmd.netlist in
+  Fun.protect
+    ~finally:(fun () -> Engine.install_tape_cache None)
+    (fun () ->
+      let cache = Soc_farm.Cache.create () in
+      Soc_farm.Cache.enable_tape_cache cache;
+      let csim () =
+        match Engine.create ~backend:Engine.Compiled net with
+        | Engine.Compiled_sim c -> c
+        | Engine.Interp_sim _ -> Alcotest.fail "expected the compiled backend"
+      in
+      let a = csim () and b = csim () in
+      check Alcotest.bool "one program" true (a.Csim.prog == b.Csim.prog);
+      check Alcotest.bool "tick specialized" true (a.Csim.prog.Csim.spec_slot >= 0);
+      check Alcotest.bool "own store" true (a.Csim.store != b.Csim.store);
+      let rng = Soc_util.Rng.create 5 in
+      for cyc = 1 to 300 do
+        List.iter
+          (fun (i : NL.signal) ->
+            let v = Soc_util.Rng.int rng 0x10000 in
+            Csim.set_input a i v;
+            Csim.set_input b i v)
+          net.NL.inputs;
+        Csim.settle a;
+        Csim.settle b;
+        List.iter
+          (fun (o : NL.signal) ->
+            check Alcotest.int (Printf.sprintf "%s @%d" o.NL.sname cyc) (Csim.value a o)
+              (Csim.value b o))
+          net.NL.outputs;
+        Csim.tick a;
+        Csim.tick b
+      done;
+      List.iter
+        (fun (m : NL.mem) ->
+          check Alcotest.bool ("memory " ^ m.NL.mem_name) true
+            (Csim.mem_contents a m.NL.mem_name = Csim.mem_contents b m.NL.mem_name))
+        net.NL.mems)
+
+(* The bounds checks run on every instantiation, not only the one that
+   builds the program. *)
+let test_mismatch_after_program_built () =
+  let net_a, _ = random_netlist 44 in
+  let net_b = NL.create "other" in
+  let x = NL.input net_b ~name:"x" ~width:8 in
+  let o = NL.output net_b ~name:"o" ~width:8 in
+  NL.assign net_b o (NL.Ref x);
+  let c = Csim.compiled (Opt.run (Tape.lower net_a)) in
+  ignore (Csim.instantiate c net_a);
+  check Alcotest.bool "program built" true (Atomic.get c.Csim.program <> None);
+  match Csim.instantiate c net_b with
+  | exception Csim.Tape_mismatch _ -> ()
+  | _ -> Alcotest.fail "expected Tape_mismatch on a foreign netlist"
+
 let suite =
   [
     Alcotest.test_case "topo: 50k-deep comb chain, both backends" `Quick
@@ -455,4 +519,8 @@ let suite =
       test_engine_degradation_ladder;
     Alcotest.test_case "VCD byte-identical across backends (Otsu)" `Quick
       test_vcd_byte_identical_on_otsu;
+    Alcotest.test_case "cached tape: instances share one program" `Quick
+      test_cached_tape_shares_program;
+    Alcotest.test_case "cached tape: mismatch caught after program built" `Quick
+      test_mismatch_after_program_built;
   ]

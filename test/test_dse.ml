@@ -204,6 +204,69 @@ let prop_random_partition_specs =
        (QCheck.Gen.oneofl (List.filter (fun p -> not (P.is_all_sw p)) (P.enumerate ()))))
     (fun p -> Soc_core.Spec.validate (P.spec_of p) = Ok ())
 
+(* ------------------------------------------------------------------ *)
+(* Golden cycles                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact cycle counts, threshold and output-image digest of every
+   partition at 16x16, in both accelerator modes. The platform is cycle
+   accurate: a change that leaves results correct but moves a timeline by
+   one cycle must show up here. *)
+let golden_points =
+  [
+    ("rtl", "SSSS", 16371, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "SSSH", 16577, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "SSHS", 19709, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "SSHH", 19884, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "SHSS", 16747, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "SHSH", 16953, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "SHHS", 18781, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "SHHH", 18951, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HSSS", 15384, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HSSH", 15590, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HSHS", 18722, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HSHH", 18897, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HHSS", 12944, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HHSH", 13150, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HHHS", 14983, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("rtl", "HHHH", 15158, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SSSS", 16371, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SSSH", 15338, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SSHS", 10268, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SSHH", 9160, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SHSS", 13622, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SHSH", 12589, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SHHS", 6798, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "SHHH", 5690, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HSSS", 12823, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HSSH", 11790, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HSHS", 6720, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HSHH", 5612, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HHSS", 9512, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HHSH", 8479, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HHHS", 2688, 71, "bc51840998009ebdd15ecf8cb19e7316");
+    ("beh", "HHHH", 1580, 71, "bc51840998009ebdd15ecf8cb19e7316");
+  ]
+
+let test_golden_cycles () =
+  let cache = Soc_farm.Cache.create () in
+  let hls = Soc_farm.Cache.hls_engine cache in
+  List.iter
+    (fun (mode_name, sig_, cycles, threshold, digest) ->
+      let mode = if mode_name = "rtl" then `Rtl else `Behavioral in
+      let pt =
+        Soc_dse.Runner.evaluate ~width:16 ~height:16 ~hls ~mode (P.of_signature sig_)
+      in
+      let what = mode_name ^ " " ^ sig_ in
+      check Alcotest.int (what ^ " cycles") cycles pt.Soc_dse.Runner.cycles;
+      check Alcotest.int (what ^ " threshold") threshold pt.Soc_dse.Runner.threshold;
+      let pixels = pt.Soc_dse.Runner.output.Soc_apps.Image.pixels in
+      check Alcotest.string (what ^ " image")
+        digest
+        (Digest.to_hex
+           (Digest.string (String.concat "," (Array.to_list (Array.map string_of_int pixels))))))
+    golden_points
+
 let suite =
   [
     ("enumerate covers the space", `Quick, test_enumerate_covers_space);
@@ -222,4 +285,5 @@ let suite =
     ("greedy trajectory", `Quick, test_greedy_descends);
     ("greedy endpoint quality", `Quick, test_greedy_endpoint_not_dominated);
     qtest prop_random_partition_specs;
+    ("golden cycles, 16 partitions x 2 modes", `Quick, test_golden_cycles);
   ]

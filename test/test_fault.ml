@@ -85,6 +85,27 @@ let test_bit_flip_lands_in_dram () =
   check Alcotest.int "bit 0 flipped" 0b1011 (Soc_axi.Dram.read (Exec.dram exec) 5);
   check Alcotest.int "injected counted" 1 (Counters.get (Fault.counters plan) "injected")
 
+(* On the default sparse DRAM, a flip lands on a word whose page was never
+   written (it read 0) and on one written earlier; outside the device it
+   is refused, not injected. *)
+let test_bit_flip_lands_in_sparse_dram () =
+  let sys = P.System.create () in
+  let exec = Exec.create sys in
+  let dram = Exec.dram exec in
+  let high = Soc_axi.Dram.size dram - 1 in
+  Soc_axi.Dram.write dram 0x40400 0b1010;
+  let flip addr b =
+    { Fault.at_cycle = 0; target = Fault.Dram_word addr; kind = Fault.Bit_flip b; duration = 0 }
+  in
+  let plan =
+    Fault.plan_of_faults [ flip high 31; flip 0x40400 0; flip (Soc_axi.Dram.size dram) 0 ]
+  in
+  Exec.set_fault_plan exec plan;
+  ignore (Exec.step_fabric exec);
+  check Alcotest.int "unwritten page" (1 lsl 31) (Soc_axi.Dram.read dram high);
+  check Alcotest.int "written page" 0b1011 (Soc_axi.Dram.read dram 0x40400);
+  check Alcotest.int "injected counted" 2 (Counters.get (Fault.counters plan) "injected")
+
 let test_unknown_target_skipped () =
   let sys = P.System.create () in
   let exec = Exec.create sys in
@@ -268,4 +289,5 @@ let suite =
     ("stuck fifo delays only", `Quick, test_fifo_stuck_delays_only);
     ("zero overhead when off", `Quick, test_zero_overhead_when_off);
     qtest prop_recoverable_campaigns_end_golden;
+    ("bit flip lands in sparse dram", `Quick, test_bit_flip_lands_in_sparse_dram);
   ]

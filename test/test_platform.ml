@@ -328,6 +328,54 @@ let test_double_bind_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection"
 
+(* The default 4M-word DRAM is sparse: a system costs its page table,
+   not a zero-filled 32 MB array. *)
+let test_system_create_is_cheap () =
+  let before = Gc.allocated_bytes () in
+  let sys = P.System.create () in
+  let bytes = Gc.allocated_bytes () -. before in
+  check Alcotest.int "default DRAM words" (1 lsl 22) (Soc_axi.Dram.size sys.P.System.dram);
+  check Alcotest.bool (Printf.sprintf "%.0f bytes allocated, under 1 MB" bytes) true
+    (bytes < 1_048_576.0)
+
+(* Bindings are resolved when made, so a stream bound after the core has
+   already stepped is still driven — whichever side is bound last. *)
+let test_stream_bound_after_first_step () =
+  let run ~input_first =
+    let regfile = Soc_axi.Lite.create_regfile ~owner:"P" ~base:0 ~size:0x1_0000 in
+    let a = P.Accel_inst.create ~name:"P" ~fsmd:(synth (passthrough 4)) ~regfile () in
+    Soc_axi.Lite.rf_poke regfile ~offset:Soc_axi.Lite.ctrl_offset 1;
+    check Alcotest.bool "nothing moves unbound" false (P.Accel_inst.step a);
+    let fin = Soc_axi.Fifo.create ~name:"in" ~capacity:8 in
+    let fout = Soc_axi.Fifo.create ~name:"out" ~capacity:8 in
+    List.iter (Soc_axi.Fifo.push fin) [ 10; 20; 30; 40 ];
+    Soc_axi.Fifo.commit fin;
+    let bind_in () = P.Accel_inst.bind_input a ~port:"xin" fin in
+    let bind_out () = P.Accel_inst.bind_output a ~port:"xout" fout in
+    if input_first then bind_in () else bind_out ();
+    ignore (P.Accel_inst.step a);
+    if input_first then bind_out () else bind_in ();
+    let got = ref [] in
+    let drain () =
+      Soc_axi.Fifo.commit fin;
+      Soc_axi.Fifo.commit fout;
+      while not (Soc_axi.Fifo.is_empty fout) do
+        got := Soc_axi.Fifo.pop fout :: !got
+      done
+    in
+    let cycles = ref 0 in
+    while (not (P.Accel_inst.is_done a)) && !cycles < 1000 do
+      ignore (P.Accel_inst.step a);
+      drain ();
+      incr cycles
+    done;
+    drain ();
+    check Alcotest.bool "done" true (P.Accel_inst.is_done a);
+    check (Alcotest.list Alcotest.int) "streamed through" [ 11; 21; 31; 41 ] (List.rev !got)
+  in
+  run ~input_first:true;
+  run ~input_first:false
+
 let suite =
   [
     ("clock conversion", `Quick, test_clock_conversion);
@@ -351,4 +399,6 @@ let suite =
     ("deadlock: fifo too small", `Quick, test_fifo_too_small_deadlocks);
     ("accel-to-accel link", `Quick, test_accel_to_accel_link);
     ("double bind rejected", `Quick, test_double_bind_rejected);
+    ("system create is cheap", `Quick, test_system_create_is_cheap);
+    ("stream bound after first step", `Quick, test_stream_bound_after_first_step);
   ]

@@ -195,7 +195,7 @@ let test_benign_mutation_unobservable () =
    degrade the netlist (the store was corrupt, not the compile). *)
 let test_engine_cache_reverify () =
   Engine.clear_degraded ();
-  let stored : Tape.t option ref = ref None in
+  let stored : Csim.compiled option ref = ref None in
   Fun.protect
     ~finally:(fun () ->
       Engine.install_tape_cache None;
@@ -213,7 +213,8 @@ let test_engine_cache_reverify () =
       check Alcotest.int "warm load re-verified" (rv0 + 1) (Engine.reverify_count ());
       check Alcotest.int "clean tape not rejected" vr0 (Engine.verify_reject_count ());
       (* Poison the cached entry with a structural mutation. *)
-      stored := Some (fst (Verify.mutate ~seed:9 (Option.get !stored)));
+      let clean = Csim.compiled_tape (Option.get !stored) in
+      stored := Some (Csim.compiled (fst (Verify.mutate ~seed:9 clean)));
       let dk0 = Engine.degraded_key_count () and fb0 = Engine.fallback_count () in
       let e = Engine.create ~backend:Engine.Compiled net in
       check Alcotest.bool "recompiled, still on the compiled backend" true
@@ -266,6 +267,50 @@ let test_fault_corrupt_tape_degrades () =
       List.iter (fun i -> Engine.set_input e i 1) inputs;
       Engine.settle e)
 
+(* A tape that parses but fails verification, planted on disk under a
+   netlist's key, is rejected once and replaced in memory and on disk:
+   the next instantiation is a clean hit, and so is a later process. *)
+let test_rejected_cache_load_replaced () =
+  Engine.clear_degraded ();
+  let dir = Filename.temp_file "socreject" ".cache" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.install_tape_cache None;
+      Engine.clear_degraded ())
+    (fun () ->
+      let net, _ = Test_csim.random_netlist 315 in
+      let good = Csim.compile_tape net in
+      let rec invalid seed =
+        let t = fst (Verify.mutate ~seed good) in
+        match Tape.deserialize (Tape.serialize t) with
+        | t' when Result.is_error (Verify.check_result ~net t') -> t'
+        | _ | (exception Tape.Parse_error _) -> invalid (seed + 1)
+      in
+      let planter = Soc_farm.Cache.create ~disk_dir:dir () in
+      Soc_farm.Cache.store_tape planter ~key:(Tape.netlist_key net) (Csim.compiled (invalid 0));
+      let cache = Soc_farm.Cache.create ~disk_dir:dir () in
+      Soc_farm.Cache.enable_tape_cache cache;
+      let vr0 = Engine.verify_reject_count () and l0 = Engine.lowering_count () in
+      let e1 = Engine.create ~backend:Engine.Compiled net in
+      check Alcotest.bool "first: compiled" true (Engine.backend_of e1 = Engine.Compiled);
+      check Alcotest.int "first: one reject" (vr0 + 1) (Engine.verify_reject_count ());
+      check Alcotest.int "first: one lowering" (l0 + 1) (Engine.lowering_count ());
+      let hits0 = (Soc_farm.Cache.tape_stats cache).Soc_farm.Cache.tape_hits in
+      let e2 = Engine.create ~backend:Engine.Compiled net in
+      check Alcotest.bool "second: compiled" true (Engine.backend_of e2 = Engine.Compiled);
+      check Alcotest.int "second: no reject" (vr0 + 1) (Engine.verify_reject_count ());
+      check Alcotest.int "second: no lowering" (l0 + 1) (Engine.lowering_count ());
+      check Alcotest.int "second: memory hit" (hits0 + 1)
+        (Soc_farm.Cache.tape_stats cache).Soc_farm.Cache.tape_hits;
+      let later = Soc_farm.Cache.create ~disk_dir:dir () in
+      Soc_farm.Cache.enable_tape_cache later;
+      ignore (Engine.create ~backend:Engine.Compiled net);
+      check Alcotest.int "disk replaced: no reject" (vr0 + 1) (Engine.verify_reject_count ());
+      check Alcotest.int "disk replaced: no lowering" (l0 + 1) (Engine.lowering_count ());
+      check Alcotest.int "disk replaced: disk hit" 1
+        (Soc_farm.Cache.tape_stats later).Soc_farm.Cache.tape_disk_hits)
+
 let suite =
   [
     Alcotest.test_case "lint: corpus shapes detected via the .ntl reader" `Quick
@@ -288,4 +333,6 @@ let suite =
       test_engine_cache_reverify;
     Alcotest.test_case "engine: corrupt-tape fault degrades to interpreter" `Quick
       test_fault_corrupt_tape_degrades;
+    Alcotest.test_case "engine: a tape rejected on load is replaced" `Quick
+      test_rejected_cache_load_replaced;
   ]
