@@ -48,6 +48,8 @@ let observe t ~tvalid ~tdata ~tready =
   else t.pending <- None;
   t.cycle <- t.cycle + 1
 
+let skip t ~cycles = t.cycle <- t.cycle + cycles
+
 let violations t = List.rev t.violations
 let handshakes t = t.handshakes
 

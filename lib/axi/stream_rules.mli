@@ -16,6 +16,10 @@ val create : string -> t
 val observe : t -> tvalid:bool -> tdata:int -> tready:bool -> unit
 (** Feed one cycle's view of the channel. *)
 
+val skip : t -> cycles:int -> unit
+(** Count [cycles] repeats of the last observation, which must not have
+    been a handshake: such a repeat can raise no violation. *)
+
 val violations : t -> violation list
 val handshakes : t -> int
 

@@ -51,8 +51,6 @@ type t = {
   mutable out_bindings : (string * Soc_axi.Fifo.t) list;
   monitors : (string * Soc_axi.Stream_rules.t) list;
   mutable done_latched : bool;
-  mutable busy_cycles : int;
-  mutable total_cycles : int;
   mutable hang_cycles : int; (* injected: 0 = healthy, max_int = permanent *)
   mutable corrupt_mask : int option; (* injected: XORed into the next result *)
 }
@@ -77,8 +75,6 @@ let make_common ~name ~engine ~regfile ~scalar_in_ports ~scalar_out_ports
       List.map (fun port -> (port, Soc_axi.Stream_rules.create (name ^ "." ^ port)))
         stream_out_ports;
     done_latched = false;
-    busy_cycles = 0;
-    total_cycles = 0;
     hang_cycles = 0;
     corrupt_mask = None;
   }
@@ -307,20 +303,34 @@ let step_behavioral t (b : behavioral_engine) =
     !moved
 
 let step t =
-  let moved =
-    if t.hang_cycles <> 0 then begin
-      (* Injected hang: the core is frozen — no handshake, no done. *)
-      if t.hang_cycles <> max_int then t.hang_cycles <- t.hang_cycles - 1;
-      false
-    end
-    else
-      match t.engine with
-      | Rtl e -> step_rtl t e
-      | Behavioral b -> step_behavioral t b
-  in
-  t.total_cycles <- t.total_cycles + 1;
-  if not (is_idle t) then t.busy_cycles <- t.busy_cycles + 1;
-  moved
+  if t.hang_cycles <> 0 then begin
+    (* Injected hang: the core is frozen — no handshake, no done. *)
+    if t.hang_cycles <> max_int then t.hang_cycles <- t.hang_cycles - 1;
+    false
+  end
+  else
+    match t.engine with
+    | Rtl e -> step_rtl t e
+    | Behavioral b -> step_behavioral t b
+
+(* After a step that moved no beat: will every following step, in an
+   unchanged environment, repeat this one exactly? An RTL core must be
+   quiet (see {!Soc_rtl_compile.Csim}) and not raising ap_done, which
+   would copy results back; a behavioural core must be neither running
+   nor about to start. A hang counting down is a change of its own. *)
+let inert t =
+  t.hang_cycles = 0
+  &&
+  match t.engine with
+  | Rtl { fsmd; sim; _ } -> Sim.quiet sim && Sim.value sim fsmd.Fsmd.ap_done = 0
+  | Behavioral b -> b.inst = None && not (started t && not t.done_latched)
+
+let fast_forward t ~cycles =
+  match t.engine with
+  | Rtl e ->
+    Sim.fast_forward e.sim ~cycles;
+    Array.iter (fun (_, _, monitor) -> Soc_axi.Stream_rules.skip monitor ~cycles) e.outs
+  | Behavioral _ -> ()
 
 (* Arm the core for a new run: clears sticky done. *)
 let arm t =

@@ -54,6 +54,15 @@ val is_idle : t -> bool
 val step : t -> bool
 (** One PL clock cycle; true iff at least one stream beat moved. *)
 
+val inert : t -> bool
+(** After a [step] that moved no beat: every later step repeats it
+    exactly, as long as the core's register file and FIFOs do not change.
+    Never true on the interpreter backend. *)
+
+val fast_forward : t -> cycles:int -> unit
+(** Count [cycles] repeats of the last step of an {!inert} core without
+    running them. *)
+
 val arm : t -> unit
 val protocol_violations : t -> Soc_axi.Stream_rules.violation list
 

@@ -225,13 +225,51 @@ let run_until t pred =
       raise (Deadlock { cycle = t.timeline.total; detail = deadlock_detail t })
   done
 
+(* After a step that moved nothing: can no later step change anything but
+   a cycle counter, while the host leaves the fabric alone? Every core is
+   inert, no DMA channel has work or a stall to age, no FIFO has stuck
+   backpressure to age. Nothing moved, so every component saw the FIFOs
+   as they now stand. *)
+let fabric_inert t =
+  let open Soc_axi in
+  List.for_all (fun (_, d) -> Dma.mm2s_idle d && d.Dma.m_stall = 0) t.sys.System.mm2s
+  && List.for_all (fun (_, d) -> Dma.s2mm_idle d && d.Dma.s_stall = 0) t.sys.System.s2mm
+  && List.for_all (fun (q : Fifo.t) -> q.stuck_cycles = 0) t.sys.System.fifos
+  && List.for_all (fun (_, inst) -> Accel_inst.inert inst) t.sys.System.accels
+
+(* How many cycles an inert fabric may skip: up to, not including, the
+   cycle whose step injects the next fault or fires the watchdog. *)
+let jump_bound t =
+  let fault =
+    match Option.bind t.plan Fault.next_due with
+    | Some at -> at - (t.timeline.total - t.plan_base)
+    | None -> max_int
+  in
+  match t.watchdog with
+  | Some (_, deadline) -> min fault (deadline - t.timeline.total)
+  | None -> fault
+
 (* Advance the clock without hardware activity (pure GPP time). The fabric
-   still ticks so that concurrently running accelerators make progress. *)
+   still ticks so that concurrently running accelerators make progress.
+   Once it is inert, the rest of the span is jumped: the timeline and the
+   cores' cycle counters advance in bulk, exactly as stepping would have
+   left them. The first step of a call may commit a beat the host staged
+   before it, so a jump waits for an unmoved step that is not the first. *)
 let advance_gpp t cycles =
   t.timeline.gpp_compute <- t.timeline.gpp_compute + cycles;
-  for _ = 1 to cycles do
-    ignore (step_fabric t);
-    t.timeline.hw <- t.timeline.hw - 1
+  let left = ref cycles in
+  while !left > 0 do
+    let moved = step_fabric t in
+    t.timeline.hw <- t.timeline.hw - 1;
+    decr left;
+    if (not moved) && !left > 0 && !left < cycles - 1 && fabric_inert t then begin
+      let n = min !left (jump_bound t) in
+      if n > 0 then begin
+        List.iter (fun (_, inst) -> Accel_inst.fast_forward inst ~cycles:n) t.sys.System.accels;
+        t.timeline.total <- t.timeline.total + n;
+        left := !left - n
+      end
+    end
   done
 
 (* ------------------------------------------------------------------ *)

@@ -25,7 +25,18 @@
     is built once per {!compiled} tape, on its first instantiation, and
     shared by every later one — so a tape-cache entry pays for
     specialization once. The instance {!t} owns only the mutable state:
-    store, memories and scratch. *)
+    store, memories and scratch.
+
+    An instance notices its own fixed point. [set_input] marks the store
+    unsettled only when a value actually changes, and [tick] records
+    whether it changed any register, memory word or memory read port. A
+    tick that ran on a settled store and changed nothing leaves the
+    instance {!quiet}: until an input changes, every later [settle] and
+    [tick] is an exact repeat — same store, same variant, same commits —
+    so both are skipped and only the cycle is counted. The settle and
+    tick tapes share no slot and each writes a slot at most once (see
+    {!Opt}), so a skipped run leaves nothing a real one would have
+    changed. *)
 
 module Netlist = Soc_rtl.Netlist
 
@@ -71,6 +82,8 @@ type t = {
   mem_rd_scratch : int array;
   mem_wr_scratch : int array; (* waddr (or -1), wdata; stride 2 *)
   mutable cycle : int;
+  mutable settled : bool; (* the store holds settle's result for its inputs and state *)
+  mutable quiet : bool; (* the last tick ran settled, changed nothing; inputs held since *)
 }
 
 let disabled = min_int
@@ -396,6 +409,8 @@ let instantiate c (net : Netlist.t) =
       mem_rd_scratch = Array.make n_mems 0;
       mem_wr_scratch = Array.make (2 * n_mems) (-1);
       cycle = 0;
+      settled = false;
+      quiet = false;
     }
   in
   init_state t;
@@ -430,9 +445,18 @@ let stats t = (tape t).stats
 let set_input t (s : Netlist.signal) v =
   if s.sid < 0 || s.sid >= Array.length t.inputs || not t.inputs.(s.sid) then
     invalid_arg ("Csim.set_input: " ^ s.sname ^ " is not an input");
-  t.store.(s.sid) <- v land Soc_util.Bits.mask s.width
+  let v = v land Soc_util.Bits.mask s.width in
+  if t.store.(s.sid) <> v then begin
+    t.store.(s.sid) <- v;
+    t.settled <- false;
+    t.quiet <- false
+  end
 
-let settle t = run_code t.store t.prog.settle_code
+let settle t =
+  if not t.settled then begin
+    run_code t.store t.prog.settle_code;
+    t.settled <- true
+  end
 
 let value t (s : Netlist.signal) = t.store.(s.sid)
 
@@ -450,7 +474,8 @@ let mem_contents t name =
    then commit. When a specialization is installed, the pre-edge value of
    the dispatch register selects a partial-evaluated tick program; commit
    still goes through the generic reg_code/mem_code q and rdata slots,
-   which the variants share. *)
+   which the variants share. Returns whether the commit changed a
+   register, a memory read port or a memory word. *)
 let tick_with t code prologue_end rc mc =
   let store = t.store in
   run_range store code 0 prologue_end;
@@ -487,30 +512,58 @@ let tick_with t code prologue_end rc mc =
     end
     else t.mem_wr_scratch.(2 * m) <- -1
   done;
+  let changed = ref false in
   for r = 0 to n_regs - 1 do
     let next = Array.unsafe_get scratch r in
-    if next <> disabled then
-      Array.unsafe_set store (Array.unsafe_get rc (6 * r)) next
+    let q = Array.unsafe_get rc (6 * r) in
+    if next <> disabled && Array.unsafe_get store q <> next then begin
+      Array.unsafe_set store q next;
+      changed := true
+    end
   done;
   for m = 0 to n_mems - 1 do
-    let base = 8 * m in
-    store.(mc.(base + 4)) <- t.mem_rd_scratch.(m);
+    let rdata = mc.((8 * m) + 4) in
+    let rd = t.mem_rd_scratch.(m) in
+    if store.(rdata) <> rd then begin
+      store.(rdata) <- rd;
+      changed := true
+    end;
     let waddr = t.mem_wr_scratch.(2 * m) in
-    if waddr >= 0 then t.mem_data.(m).(waddr) <- t.mem_wr_scratch.((2 * m) + 1)
+    if waddr >= 0 then begin
+      let data = t.mem_data.(m) and wdata = t.mem_wr_scratch.((2 * m) + 1) in
+      if data.(waddr) <> wdata then begin
+        data.(waddr) <- wdata;
+        changed := true
+      end
+    end
   done;
-  t.cycle <- t.cycle + 1
+  !changed
 
 let tick t =
-  let p = t.prog in
-  if p.spec_slot >= 0 then begin
-    let v = p.spec.(t.store.(p.spec_slot) land p.spec_mask) in
-    tick_with t v.v_code v.v_prologue_end v.v_reg v.v_mem
-  end
-  else tick_with t p.tick_code p.prologue_end p.reg_code p.mem_code
+  if not t.quiet then begin
+    let p = t.prog in
+    let changed =
+      if p.spec_slot >= 0 then begin
+        let v = p.spec.(t.store.(p.spec_slot) land p.spec_mask) in
+        tick_with t v.v_code v.v_prologue_end v.v_reg v.v_mem
+      end
+      else tick_with t p.tick_code p.prologue_end p.reg_code p.mem_code
+    in
+    if changed then t.settled <- false;
+    t.quiet <- t.settled && not changed
+  end;
+  t.cycle <- t.cycle + 1
 
 let cycle t = t.cycle
+let quiet t = t.quiet
+
+let fast_forward t ~cycles =
+  if not t.quiet then invalid_arg "Csim.fast_forward: instance is not quiet";
+  t.cycle <- t.cycle + cycles
 
 let reset t =
   Array.fill t.store 0 (Array.length t.store) 0;
   init_state t;
-  t.cycle <- 0
+  t.cycle <- 0;
+  t.settled <- false;
+  t.quiet <- false

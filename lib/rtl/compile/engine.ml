@@ -204,6 +204,15 @@ let cycle = function Interp_sim sim -> Sim.cycle sim | Compiled_sim c -> Csim.cy
 
 let reset = function Interp_sim sim -> Sim.reset sim | Compiled_sim c -> Csim.reset c
 
+(* Quiescence (see {!Csim}): the interpreter never claims it, so a system
+   simulated on the oracle backend is always stepped cycle by cycle. *)
+let quiet = function Interp_sim _ -> false | Compiled_sim c -> Csim.quiet c
+
+let fast_forward t ~cycles =
+  match t with
+  | Interp_sim _ -> invalid_arg "Engine.fast_forward: the interpreter is never quiet"
+  | Compiled_sim c -> Csim.fast_forward c ~cycles
+
 let mem_contents t name =
   match t with
   | Interp_sim sim -> Sim.mem_contents sim name

@@ -267,7 +267,7 @@ let lower ?(observe = []) (net : Netlist.t) =
       (fun i (r : Netlist.reg) ->
         let rc_off = emitted () in
         let rc_next = lower_value bld ~msk:(mask_for r.q.width) r.next in
-        { rc_q = r.q.sid; rc_next; rc_en = reg_ens.(i); rc_reset = r.reset_value;
+        { rc_q = r.q.sid; rc_next; rc_en = reg_ens.(i); rc_reset = r.reset_value land mask_for r.q.width;
           rc_off; rc_len = emitted () - rc_off })
       regs
   in

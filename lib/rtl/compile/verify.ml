@@ -351,9 +351,10 @@ let check ?(stage = "lower") ?net ?ctx (t : Tape.t) =
       if q <> nr.Netlist.q.sid then
         fail "RTL516" (reg_loc i) "commits to slot %d, netlist register %s is slot %d" q
           nr.Netlist.q.sname nr.Netlist.q.sid;
-      if r.Tape.rc_reset <> nr.Netlist.reset_value then
+      let reset = nr.Netlist.reset_value land Soc_util.Bits.mask nr.Netlist.q.width in
+      if r.Tape.rc_reset <> reset then
         fail "RTL516" (reg_loc i) "reset value %d differs from the netlist's %d"
-          r.Tape.rc_reset nr.Netlist.reset_value
+          r.Tape.rc_reset reset
     end
   done;
   let mems_arr = match ctx with Some c -> c.cx_mems | None -> [||] in

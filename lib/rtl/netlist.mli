@@ -18,6 +18,8 @@ type reg = {
   next : expr;
   enable : expr;
   reset_value : int;
+      (** Truncated to the register's width when loaded, as in hardware;
+          lint RTL501 flags a value that does not fit. *)
 }
 
 (** Simple-dual-port memory: one synchronous read port ([rdata] reflects

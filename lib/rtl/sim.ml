@@ -121,7 +121,9 @@ let topo_combs (net : Netlist.t) =
 
 let create (net : Netlist.t) =
   let values = Array.make (Netlist.signal_count net) 0 in
-  List.iter (fun (r : Netlist.reg) -> values.(r.q.sid) <- r.reset_value) net.regs;
+  List.iter
+    (fun (r : Netlist.reg) -> values.(r.q.sid) <- r.reset_value land mask_for r.q.width)
+    net.regs;
   let mem_data = Hashtbl.create 4 in
   List.iter
     (fun (m : Netlist.mem) ->
@@ -210,7 +212,9 @@ let cycle t = t.cycle
 (* Reset all registers and memories to their initial state. *)
 let reset t =
   Array.fill t.values 0 (Array.length t.values) 0;
-  List.iter (fun (r : Netlist.reg) -> t.values.(r.q.sid) <- r.reset_value) t.net.regs;
+  List.iter
+    (fun (r : Netlist.reg) -> t.values.(r.q.sid) <- r.reset_value land mask_for r.q.width)
+    t.net.regs;
   List.iter
     (fun (m : Netlist.mem) ->
       let data = Hashtbl.find t.mem_data m.mem_name in

@@ -172,6 +172,119 @@ let test_differential_random =
     QCheck.(make Gen.(0 -- 100_000))
     diff_run
 
+(* The same oracle with inputs held for random runs of cycles, so the
+   compiled backend's quiescence skip (a quiet instance skips settle and
+   tick) is exercised: occasional ticks without a settle, re-driving an
+   input with the value it already has, and one reset mid-run. Every
+   observable — and every memory — must agree after every step. *)
+let quiet_cycles = ref 0
+
+let held_run seed =
+  let net, inputs = random_netlist seed in
+  let rng = Soc_util.Rng.create (seed lxor 0x2545f491) in
+  let rand n = Soc_util.Rng.int rng n in
+  let sim = Sim.create net in
+  let c = Csim.create net in
+  let observed =
+    net.NL.outputs
+    @ List.map (fun (r : NL.reg) -> r.NL.q) net.NL.regs
+    @ List.map (fun (m : NL.mem) -> m.NL.rdata) net.NL.mems
+  in
+  let agree cyc what =
+    List.iter
+      (fun s ->
+        if Sim.value sim s <> Csim.value c s then
+          Alcotest.failf "seed %d cycle %d after %s: %s interp=%d compiled=%d" seed cyc what
+            s.NL.sname (Sim.value sim s) (Csim.value c s))
+      observed;
+    List.iter
+      (fun (m : NL.mem) ->
+        if Sim.mem_contents sim m.NL.mem_name <> Csim.mem_contents c m.NL.mem_name then
+          Alcotest.failf "seed %d cycle %d after %s: memory %s diverged" seed cyc what
+            m.NL.mem_name)
+      net.NL.mems
+  in
+  let drive i v =
+    Sim.set_input sim i v;
+    Csim.set_input c i v
+  in
+  let reset_at = 10 + rand 30 in
+  let hold = ref 0 in
+  for cyc = 1 to 60 do
+    if !hold = 0 then begin
+      hold := 1 + rand 8;
+      List.iter (fun i -> drive i (Soc_util.Rng.int rng 0x40000000)) inputs
+    end
+    else begin
+      decr hold;
+      if rand 4 = 0 then begin
+        let i = List.nth inputs (rand (List.length inputs)) in
+        drive i (Sim.value sim i)
+      end
+    end;
+    if cyc = reset_at then begin
+      Sim.reset sim;
+      Csim.reset c;
+      agree cyc "reset"
+    end;
+    if rand 8 <> 0 then begin
+      Sim.settle sim;
+      Csim.settle c;
+      agree cyc "settle"
+    end;
+    if Csim.quiet c then incr quiet_cycles;
+    Sim.tick sim;
+    Csim.tick c;
+    agree cyc "tick";
+    if Sim.cycle sim <> Csim.cycle c then Alcotest.failf "seed %d: cycle counts differ" seed
+  done;
+  true
+
+let test_differential_held =
+  QCheck.Test.make ~count:60 ~name:"compiled = interpreted with held inputs"
+    QCheck.(make Gen.(0 -- 100_000))
+    held_run
+
+let test_held_inputs_go_quiet () =
+  (* Guard against an oracle that never reaches the path it is there for:
+     over fixed seeds, some held cycles must start from a quiet instance. *)
+  quiet_cycles := 0;
+  for seed = 1 to 40 do
+    ignore (held_run seed)
+  done;
+  check Alcotest.bool "quiet ticks exercised" true (!quiet_cycles > 0)
+
+let test_quiet_skip () =
+  (* A register that loads its input: once the input is held and the
+     register has caught up, the instance is quiet and stays exact. *)
+  let net = NL.create "hold" in
+  let x = NL.input net ~name:"x" ~width:8 in
+  let q = NL.register net ~reset_value:0 ~enable:NL.one ~name:"q" ~width:8 (fun _ -> NL.Ref x) in
+  let o = NL.output net ~name:"o" ~width:8 in
+  NL.assign net o (NL.Bin (Soc_kernel.Ast.Add, NL.Ref q, NL.Const (1, 8)));
+  let c = Csim.create net in
+  let step v =
+    Csim.set_input c x v;
+    Csim.settle c;
+    Csim.tick c
+  in
+  step 5;
+  check Alcotest.bool "a changing tick is not quiet" false (Csim.quiet c);
+  step 5;
+  check Alcotest.bool "a repeat tick is quiet" true (Csim.quiet c);
+  step 5;
+  check Alcotest.bool "re-driving the held value keeps it quiet" true (Csim.quiet c);
+  Csim.fast_forward c ~cycles:10;
+  check Alcotest.int "fast-forward counts cycles" 13 (Csim.cycle c);
+  Csim.settle c;
+  check Alcotest.int "output held" 6 (Csim.value c o);
+  step 7;
+  check Alcotest.bool "a new input wakes it" false (Csim.quiet c);
+  Csim.settle c;
+  check Alcotest.int "output follows" 8 (Csim.value c o);
+  check Alcotest.bool "interpreter never quiet" false
+    (Engine.quiet (Engine.create ~backend:Engine.Interp net))
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer: folds, specializes and sweeps without changing meaning   *)
 (* ------------------------------------------------------------------ *)
@@ -502,6 +615,9 @@ let suite =
     Alcotest.test_case "topo: combinational cycle still detected" `Quick
       test_comb_cycle_still_detected;
     qtest test_differential_random;
+    qtest test_differential_held;
+    Alcotest.test_case "held inputs reach the quiet path" `Quick test_held_inputs_go_quiet;
+    Alcotest.test_case "quiet instance skips exactly, wakes on input" `Quick test_quiet_skip;
     Alcotest.test_case "optimizer folds, specializes, sweeps; meaning kept" `Quick
       test_optimizer_folds_and_dce;
     Alcotest.test_case "tape text roundtrip is byte-stable" `Quick test_tape_roundtrip;

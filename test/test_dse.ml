@@ -267,6 +267,38 @@ let test_golden_cycles () =
            (Digest.string (String.concat "," (Array.to_list (Array.map string_of_int pixels))))))
     golden_points
 
+(* The interpreter backend never fast-forwards an idle fabric, so it is
+   the oracle for the compiled backend's quiescence skip: every partition
+   must measure the same cycles, threshold and image on both. *)
+let test_backend_parity () =
+  let cache = Soc_farm.Cache.create () in
+  let hls = Soc_farm.Cache.hls_engine cache in
+  let module Engine = Soc_rtl_compile.Engine in
+  let measure_all backend =
+    let saved = Engine.default_backend () in
+    Engine.set_default_backend backend;
+    Fun.protect
+      ~finally:(fun () -> Engine.set_default_backend saved)
+      (fun () ->
+        List.map
+          (fun p ->
+            let pt = Soc_dse.Runner.evaluate ~width:8 ~height:8 ~hls p in
+            (P.signature p, pt.Soc_dse.Runner.cycles, pt.Soc_dse.Runner.threshold,
+             pt.Soc_dse.Runner.output.Soc_apps.Image.pixels))
+          (P.enumerate ()))
+  in
+  let saved = Engine.default_backend () in
+  let compiled = measure_all Engine.Compiled in
+  let interp = measure_all Engine.Interp in
+  check Alcotest.bool "default backend restored" true (Engine.default_backend () = saved);
+  check Alcotest.int "all 16 partitions" 16 (List.length compiled);
+  List.iter2
+    (fun (s, c, t, img) (_, c', t', img') ->
+      check Alcotest.int (s ^ " cycles") c' c;
+      check Alcotest.int (s ^ " threshold") t' t;
+      check Alcotest.bool (s ^ " image") true (img = img'))
+    compiled interp
+
 let suite =
   [
     ("enumerate covers the space", `Quick, test_enumerate_covers_space);
@@ -286,4 +318,5 @@ let suite =
     ("greedy endpoint quality", `Quick, test_greedy_endpoint_not_dominated);
     qtest prop_random_partition_specs;
     ("golden cycles, 16 partitions x 2 modes", `Quick, test_golden_cycles);
+    ("compiled = interpreted, 16 partitions", `Quick, test_backend_parity);
   ]

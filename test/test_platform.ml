@@ -376,6 +376,99 @@ let test_stream_bound_after_first_step () =
   run ~input_first:true;
   run ~input_first:false
 
+(* ------------------------------------------------------------------ *)
+(* GPP time over an inert fabric                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A core streams 8 beats and goes idle during a 10 000-cycle software
+   stage, with faults planned inside the stage. Returns everything the
+   run can observe: fault events, timeline, DRAM output. *)
+let software_stage_with_faults backend =
+  let n = 8 in
+  let sys = P.System.create () in
+  ignore (P.System.add_accel ~backend sys ~name:"P" (synth (passthrough n)));
+  let in_ch, _ = P.System.add_mm2s sys ~dst:("P", "xin") () in
+  let out_ch, _ = P.System.add_s2mm sys ~src:("P", "xout") () in
+  let exec = Exec.create sys in
+  Soc_axi.Dram.write_block (Exec.dram exec) ~addr:0 (Array.init n Fun.id);
+  Exec.start_accel exec "P";
+  Exec.start_read_dma exec ~channel:out_ch ~addr:1024 ~len:n;
+  Exec.start_write_dma exec ~channel:in_ch ~addr:0 ~len:n;
+  let fifo = List.hd (Exec.inventory exec).Soc_fault.Fault.fifos in
+  let fault at_cycle target kind duration = { Soc_fault.Fault.at_cycle; target; kind; duration } in
+  let plan =
+    Soc_fault.Fault.plan_of_faults
+      [
+        fault 3000 (Soc_fault.Fault.Dram_word 4096) (Soc_fault.Fault.Bit_flip 3) 0;
+        fault 6000 (Soc_fault.Fault.Accel "P") Soc_fault.Fault.Hang 50;
+        fault 8000 (Soc_fault.Fault.Fifo fifo) Soc_fault.Fault.Fifo_stuck 20;
+      ]
+  in
+  Exec.set_fault_plan exec plan;
+  let base = Exec.elapsed_cycles exec in
+  Exec.advance_gpp exec 10_000;
+  ( List.filter_map
+      (function
+        | Soc_fault.Fault.Injected { cycle; _ } -> Some (cycle - base) | _ -> None)
+      (Soc_fault.Fault.events plan),
+    List.map (Format.asprintf "%a" Soc_fault.Fault.pp_event) (Soc_fault.Fault.events plan),
+    Exec.elapsed_cycles exec - base,
+    Array.to_list (Soc_axi.Dram.read_block (Exec.dram exec) ~addr:1024 ~len:n),
+    Soc_axi.Dram.read (Exec.dram exec) 4096,
+    List.length (P.System.protocol_violations sys) )
+
+let test_fault_inside_software_stage () =
+  let ((injected, _, elapsed, out, flipped, violations) as compiled) =
+    software_stage_with_faults Soc_rtl_compile.Engine.Compiled
+  in
+  check (Alcotest.list Alcotest.int) "each fault injected at its cycle" [ 3000; 6000; 8000 ]
+    injected;
+  check Alcotest.int "timeline exact" 10_000 elapsed;
+  check (Alcotest.list Alcotest.int) "core finished during the stage"
+    (List.init 8 (fun i -> i + 1)) out;
+  check Alcotest.int "bit flip landed" 8 flipped;
+  check Alcotest.int "no protocol violations" 0 violations;
+  (* The interpreter never fast-forwards: it is the oracle for the jump. *)
+  check Alcotest.bool "interpreter observes the same run" true
+    (software_stage_with_faults Soc_rtl_compile.Engine.Interp = compiled)
+
+(* A beat the host stages into a FIFO before a software stage becomes
+   visible at the stage's first commit: the waiting core must still see
+   it, so the fabric is not inert until a later step moved nothing. *)
+let test_host_staged_beat_seen_in_gpp_time () =
+  let _, exec, _, _ = stream_system 1 in
+  let sys = exec.Exec.sys in
+  let inst = P.System.accel sys "P" in
+  let fin, fout =
+    match (P.Accel_inst.input_bindings inst, P.Accel_inst.output_bindings inst) with
+    | [ (_, i) ], [ (_, o) ] -> (i, o)
+    | _ -> Alcotest.fail "expected one input and one output binding"
+  in
+  Exec.start_accel exec "P";
+  Exec.advance_gpp exec 100;
+  Soc_axi.Fifo.push fin 41;
+  Exec.advance_gpp exec 1_000;
+  check Alcotest.bool "core consumed the staged beat" true (P.Accel_inst.is_done inst);
+  check (Alcotest.option Alcotest.int) "and produced its result" (Some 42)
+    (Soc_axi.Fifo.front fout)
+
+(* The watchdog fires at its deadline even when the fabric it guards is
+   idle through a long software stage. *)
+let test_watchdog_inside_software_stage () =
+  let _, exec, _, _ = stream_system 4 in
+  Exec.advance_gpp exec 100;
+  let start = Exec.elapsed_cycles exec in
+  match
+    Exec.run_task_resilient ~max_attempts:1 ~timeout:500 exec ~task:"spin" (fun () ->
+        Exec.advance_gpp exec 10_000)
+  with
+  | _ -> Alcotest.fail "expected the watchdog to fire"
+  | exception Exec.Unrecoverable { cycle; failures; _ } ->
+    check Alcotest.int "fails at start + timeout" (start + 500) cycle;
+    check (Alcotest.list Alcotest.int) "one watchdog failure" [ start + 500 ]
+      (List.map (fun (f : Exec.failure) -> f.Exec.at_cycle) failures);
+    check Alcotest.int "timeline stops there" (start + 500) (Exec.elapsed_cycles exec)
+
 let suite =
   [
     ("clock conversion", `Quick, test_clock_conversion);
@@ -401,4 +494,7 @@ let suite =
     ("double bind rejected", `Quick, test_double_bind_rejected);
     ("system create is cheap", `Quick, test_system_create_is_cheap);
     ("stream bound after first step", `Quick, test_stream_bound_after_first_step);
+    ("fault inside a software stage", `Quick, test_fault_inside_software_stage);
+    ("watchdog inside a software stage", `Quick, test_watchdog_inside_software_stage);
+    ("host-staged beat seen in GPP time", `Quick, test_host_staged_beat_seen_in_gpp_time);
   ]
