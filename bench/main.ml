@@ -205,14 +205,14 @@ let fig9 () =
   print_endline "(tool-runtime model anchored on Section VI.C: ~6 s Scala compile,";
   print_endline " ~50 s Vivado project generation, HLS once per function, 42 min total;";
   print_endline " Arch4 generated first so later architectures reuse its HLS cores)";
-  let cache = Hashtbl.create 8 in
+  let hls = Soc_farm.Cache.hls_engine (Soc_farm.Cache.create ()) in
   let order = [ Graphs.Arch4; Graphs.Arch1; Graphs.Arch2; Graphs.Arch3 ] in
   let builds =
     List.map
       (fun arch ->
         let wall0 = Sys.time () in
         let b =
-          Flow.build ~hls_cache:cache (Graphs.arch_spec arch)
+          Flow.build ~hls (Graphs.arch_spec arch)
             ~kernels:(Graphs.arch_kernels arch ~width:case_w ~height:case_h)
         in
         (arch, b, Sys.time () -. wall0))
@@ -441,8 +441,19 @@ let sdsoc_ablation () =
 
 let dse () =
   hr "Extension -- design-space exploration over all 2^4 partitions";
-  let r = Soc_dse.Explore.exhaustive ~width:32 ~height:32 () in
-  let front = Soc_dse.Explore.pareto r.Soc_dse.Explore.points in
+  let hls = Soc_farm.Cache.hls_engine (Soc_farm.Cache.create ()) in
+  let points =
+    List.map
+      (fun p -> Soc_dse.Runner.evaluate ~width:32 ~height:32 ~hls p)
+      (Soc_dse.Partition.enumerate ())
+  in
+  let front =
+    Soc_tune.Pareto.front
+      ~objectives:(fun (p : Soc_dse.Runner.point) ->
+        [| float_of_int p.Soc_dse.Runner.cycles;
+           float_of_int p.Soc_dse.Runner.resources.Report.lut |])
+      points
+  in
   let t =
     Table.create ~title:"G=grayScale H=histogram O=otsuMethod B=binarization"
       [ "GHOB"; "cycles"; "LUT"; "Pareto" ]
@@ -454,16 +465,19 @@ let dse () =
         [ Soc_dse.Partition.signature p.Soc_dse.Runner.partition;
           string_of_int p.Soc_dse.Runner.cycles;
           string_of_int p.Soc_dse.Runner.resources.Report.lut;
-          (if List.memq p front || List.exists (fun q -> q == p) front then "*" else "") ])
-    r.Soc_dse.Explore.points;
+          (if List.memq p front then "*" else "") ])
+    points;
   Table.print t;
-  let g = Soc_dse.Explore.greedy ~width:32 ~height:32 () in
-  Printf.printf "greedy: %s in %d evaluations (exhaustive: %d)\n"
-    (String.concat " -> "
-       (List.map
-          (fun (p : Soc_dse.Runner.point) -> Soc_dse.Partition.signature p.Soc_dse.Runner.partition)
-          g.Soc_dse.Explore.points))
-    g.Soc_dse.Explore.evaluations r.Soc_dse.Explore.evaluations;
+  let g =
+    (Soc_dse.Tuner.run
+       { Soc_dse.Tuner.default_options with
+         Soc_dse.Tuner.strategy = Soc_tune.Search.Greedy; width = 32; height = 32 })
+      .Soc_dse.Tuner.search
+  in
+  let endpoint = Option.get (Soc_tune.Render.winner g) in
+  Printf.printf "greedy: reaches %s (%d cycles) in %d evaluations (exhaustive: %d)\n"
+    endpoint.Soc_tune.Search.key endpoint.Soc_tune.Search.cycles g.Soc_tune.Search.evaluated
+    (List.length points);
 
   (* Population-scale autotuning through the farm: an evolutionary sweep
      over partition x FIFO x schedule x FU allocation, cold then warm

@@ -60,6 +60,11 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
        ~doc:"Deterministic seed; every report prints the effective value.")
 
+(* [--format text|json] of check, doctor and client stats. *)
+let format_arg =
+  Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
+
 (* ---------------- check ---------------- *)
 
 (* The built-in kernel library: node names from the case studies resolve to
@@ -196,23 +201,15 @@ let check_cmd =
                  (Diag.warning_count ds)))
         per_file
     | `Json ->
-      let all =
-        List.concat_map
-          (fun (file, ds) -> List.map (Diag.to_json ~file) ds)
-          per_file
-      in
       print_endline
-        (if all = [] then "[]"
-         else "[\n  " ^ String.concat ",\n  " all ^ "\n]"));
+        (Soc_util.Json.to_string
+           (Soc_util.Json.Arr
+              (List.concat_map (fun (file, ds) -> List.map (Diag.to_json ~file) ds) per_file))));
     if List.exists (fun (_, ds) -> Diag.has_errors ds) per_file then exit 1
   in
   let files_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"FILE"
          ~doc:"DSL source files (- for stdin).")
-  in
-  let format_arg =
-    Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
   in
   let werror_arg =
     Arg.(value & flag & info [ "Werror" ]
@@ -375,6 +372,14 @@ let resume_arg =
              are skipped (artifacts re-verified from the cache), in-flight \
              ones re-enqueued.")
 
+(* [--cache-dir] and [-j/--jobs]: one spelling and metavariable across
+   subcommands, each with its own documentation. *)
+let cache_dir_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+
+let jobs_arg kind default ~doc =
+  Arg.(value & opt kind default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 let cache_max_mb_arg =
   Arg.(value & opt (some int) None & info [ "cache-max-mb" ] ~docv:"MB"
        ~doc:"Cap the disk cache at $(docv) megabytes; least-recently-used \
@@ -524,9 +529,9 @@ let build_cmd =
         b.Soc_core.Flow.impls
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-         ~doc:"Persist verified HLS artifacts (and the write-ahead journal) \
-               in $(docv); later runs reuse them.")
+    cache_dir_arg
+      ~doc:"Persist verified HLS artifacts (and the write-ahead journal) \
+            in $(docv); later runs reuse them."
   in
   Cmd.v
     (Cmd.info "build"
@@ -587,14 +592,14 @@ let farm_cmd =
          ~doc:"DSL source files; the batch shares one content-addressed HLS cache.")
   in
   let jobs_arg =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains (default: the recommended domain count). Results are \
-               bit-identical for any value.")
+    jobs_arg Arg.(some int) None
+      ~doc:"Worker domains (default: the recommended domain count). Results are \
+            bit-identical for any value."
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-         ~doc:"Persist the artifact cache to $(docv); later runs reuse HLS results \
-               across invocations.")
+    cache_dir_arg
+      ~doc:"Persist the artifact cache to $(docv); later runs reuse HLS results \
+            across invocations."
   in
   let trace_arg =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -738,13 +743,13 @@ let explore_cmd =
                    with ideal-pipeline timing; much faster sweeps).")
   in
   let jobs_arg =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Farm worker domains per batch; results are bit-identical for any value.")
+    jobs_arg Arg.(some int) None
+      ~doc:"Farm worker domains per batch; results are bit-identical for any value."
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-         ~doc:"Persist the HLS cache to $(docv); a warm re-run of the same sweep \
-               repeats zero synthesis work and its frontier JSON is byte-identical.")
+    cache_dir_arg
+      ~doc:"Persist the HLS cache to $(docv); a warm re-run of the same sweep \
+            repeats zero synthesis work and its frontier JSON is byte-identical."
   in
   Cmd.v
     (Cmd.info "explore"
@@ -764,21 +769,6 @@ let explore_cmd =
 
 let doctor_cmd =
   let module Diag = Soc_util.Diag in
-  let json_str s =
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  in
   let run dir format =
     let cr = Soc_farm.Cache.fsck ~dir in
     let jr = Soc_farm.Journal.fsck (Filename.concat dir Soc_farm.Journal.default_name) in
@@ -800,24 +790,29 @@ let doctor_cmd =
         (if diags = [] then "doctor: cache is healthy"
          else "doctor: repairs applied; cache is now healthy")
     | `Json ->
-      let names l = "[" ^ String.concat "," (List.map json_str l) ^ "]" in
-      Printf.printf
-        "{\n  \"cache\": {\"checked\": %d, \"ok\": %d, \"quarantined\": %s, \"stale\": %s, \"orphans\": %s},\n  \"journal\": {\"entries\": %d, \"dropped\": %d, \"compacted\": %d},\n  \"diags\": [%s]\n}\n"
-        cr.Soc_farm.Cache.fsck_checked cr.Soc_farm.Cache.fsck_ok
-        (names cr.Soc_farm.Cache.fsck_quarantined)
-        (names cr.Soc_farm.Cache.fsck_stale)
-        (names cr.Soc_farm.Cache.fsck_orphans)
-        jr.Soc_farm.Journal.jfsck_entries jr.Soc_farm.Journal.jfsck_dropped
-        jr.Soc_farm.Journal.jfsck_compacted
-        (String.concat ", " (List.map (Diag.to_json ~file:dir) diags)))
+      let open Soc_util.Json in
+      let names l = Arr (List.map (fun s -> Str s) l) in
+      let int n = Num (float_of_int n) in
+      print_endline
+        (to_string
+           (Obj
+              [ ( "cache",
+                  Obj
+                    [ ("checked", int cr.Soc_farm.Cache.fsck_checked);
+                      ("ok", int cr.Soc_farm.Cache.fsck_ok);
+                      ("quarantined", names cr.Soc_farm.Cache.fsck_quarantined);
+                      ("stale", names cr.Soc_farm.Cache.fsck_stale);
+                      ("orphans", names cr.Soc_farm.Cache.fsck_orphans) ] );
+                ( "journal",
+                  Obj
+                    [ ("entries", int jr.Soc_farm.Journal.jfsck_entries);
+                      ("dropped", int jr.Soc_farm.Journal.jfsck_dropped);
+                      ("compacted", int jr.Soc_farm.Journal.jfsck_compacted) ] );
+                ("diags", Arr (List.map (Diag.to_json ~file:dir) diags)) ])))
   in
   let dir_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CACHE-DIR"
          ~doc:"Cache directory to check (as passed to --cache-dir).")
-  in
-  let format_arg =
-    Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
   in
   Cmd.v
     (Cmd.info "doctor"
@@ -930,9 +925,9 @@ let serve_cmd =
     | `Killed (s, k) -> die_killed s k
   in
   let workers_arg =
-    Arg.(value & opt int 2 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Concurrent builds in flight (worker threads; each build runs \
-               single-domain so results stay deterministic).")
+    jobs_arg Arg.int 2
+      ~doc:"Concurrent builds in flight (worker threads; each build runs \
+            single-domain so results stay deterministic)."
   in
   let queue_cap_arg =
     Arg.(value & opt int 64 & info [ "queue-cap" ] ~docv:"N"
@@ -945,10 +940,10 @@ let serve_cmd =
                expired without running (a submit's own deadline wins).")
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-         ~doc:"Persist the shared HLS cache and write-ahead journal in $(docv); \
-               the daemon fscks both at startup and resumes committed work, so \
-               a killed server restarted on the same $(docv) loses nothing.")
+    cache_dir_arg
+      ~doc:"Persist the shared HLS cache and write-ahead journal in $(docv); \
+            the daemon fscks both at startup and resumes committed work, so \
+            a killed server restarted on the same $(docv) loses nothing."
   in
   let breaker_threshold_arg =
     Arg.(value & opt int 3 & info [ "breaker-threshold" ] ~docv:"K"
@@ -1150,10 +1145,6 @@ let client_cmd =
               s.cache_hits s.cache_disk_hits s.cache_misses s.hit_rate s.engine_runs;
             Printf.printf "latency: n=%d p50=%.1f ms p95=%.1f ms p99=%.1f ms\n"
               s.lat_count s.lat_p50_ms s.lat_p95_ms s.lat_p99_ms)
-    in
-    let format_arg =
-      Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-           & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
     in
     Cmd.v
       (Cmd.info "stats"
@@ -1419,9 +1410,9 @@ let chaos_cmd =
          ~doc:"Worker pool size of the serve-mode campaign daemon.")
   in
   let cache_dir_arg =
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-         ~doc:"Persistent cache directory for the serve-mode campaign's \
-               restart phase (fresh directories recommended).")
+    cache_dir_arg
+      ~doc:"Persistent cache directory for the serve-mode campaign's \
+            restart phase (fresh directories recommended)."
   in
   let manifest_out_arg =
     Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE"

@@ -298,7 +298,7 @@ let manifest_json (r : report) =
     List.map
       (fun ((i : int), (b : Flow.build)) ->
         Printf.sprintf "  {\"index\": %d, \"design\": \"%s\", \"digest\": \"%s\"}" i
-          b.Flow.spec.Spec.design_name (build_digest b))
+          (Soc_util.Json.escape b.Flow.spec.Spec.design_name) (build_digest b))
       r.builds
   in
   "[\n" ^ String.concat ",\n" entries ^ "\n]\n"

@@ -58,44 +58,26 @@ let phase_seconds t =
 (* Chrome trace_event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* Timestamps are microseconds, rounded to 0.1 us. *)
 let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char buf ',' in
-  List.iter
-    (fun s ->
-      sep ();
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\"dur\":%.1f,\"args\":{\"attempt\":%d,\"outcome\":\"%s\"}}"
-           (json_escape s.name) (json_escape s.cat) s.worker (s.t_start *. 1e6)
-           ((s.t_end -. s.t_start) *. 1e6)
-           s.attempt (json_escape s.outcome)))
-    (spans t);
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":0,\"args\":{\"value\":%d}}"
-           (json_escape name) v))
-    (counters t);
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  let open Soc_util.Json in
+  let us seconds = Num (Float.round (seconds *. 1e7) /. 10.0) in
+  let int n = Num (float_of_int n) in
+  let span s =
+    Obj
+      [ ("name", Str s.name); ("cat", Str s.cat); ("ph", Str "X"); ("pid", int 1);
+        ("tid", int s.worker); ("ts", us s.t_start); ("dur", us (s.t_end -. s.t_start));
+        ("args", Obj [ ("attempt", int s.attempt); ("outcome", Str s.outcome) ]) ]
+  in
+  let counter (name, v) =
+    Obj
+      [ ("name", Str name); ("ph", Str "C"); ("pid", int 1); ("tid", int 0); ("ts", int 0);
+        ("args", Obj [ ("value", int v) ]) ]
+  in
+  to_string
+    (Obj
+       [ ("traceEvents", Arr (List.map span (spans t) @ List.map counter (counters t)));
+         ("displayTimeUnit", Str "ms") ])
 
 let save t path = Soc_util.Atomic_io.write_file path (to_chrome_json t)
 

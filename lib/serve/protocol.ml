@@ -1,19 +1,19 @@
 (* Wire protocol of the generation daemon: length-prefixed JSON frames.
 
    A frame is a 4-byte big-endian payload length followed by that many
-   bytes of UTF-8 JSON. The JSON layer is a deliberately small
-   self-contained value type + parser + printer — the repo carries no
-   JSON dependency, and the daemon's payloads (requests, diagnostics,
-   manifests, stats) only need objects, arrays, strings, numbers and
-   booleans. *)
+   bytes of UTF-8 JSON. The JSON value type, printer and parser are
+   Soc_util.Json's; this module re-exports them under their historical
+   names and adds framing and the request/response codecs. *)
 
 module Diag = Soc_util.Diag
+module Json = Soc_util.Json
+open Json (* the field accessors *)
 
 (* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
+(* JSON: re-exported from Soc_util.Json                                *)
 (* ------------------------------------------------------------------ *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -21,216 +21,11 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-exception Parse_error of string
+exception Parse_error = Json.Parse_error
 
-let buf_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let to_string (j : json) =
-  let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.12g" f)
-    | Str s -> buf_escape buf s
-    | Arr l ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          go x)
-        l;
-      Buffer.add_char buf ']'
-    | Obj l ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_char buf ',';
-          buf_escape buf k;
-          Buffer.add_char buf ':';
-          go x)
-        l;
-      Buffer.add_char buf '}'
-  in
-  go j;
-  Buffer.contents buf
-
-(* Recursive-descent parser. Accepts exactly one value (surrounded by
-   whitespace); raises [Parse_error] otherwise. *)
-let of_string (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; v)
-    else fail ("expected " ^ word)
-  in
-  let hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some v -> v
-    | None -> fail "bad \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          (* Encode the BMP code point as UTF-8; surrogate pairs are not
-             produced by this tool and are rejected. *)
-          let v = hex4 () in
-          if v >= 0xD800 && v <= 0xDFFF then fail "surrogate escapes unsupported"
-          else if v < 0x80 then Buffer.add_char buf (Char.chr v)
-          else if v < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (v lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (v land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (v lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((v lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (v land 0x3F)))
-          end
-        | _ -> fail "bad escape");
-        go ())
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do advance () done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (advance (); Arr [])
-      else
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); items (v :: acc)
-          | Some ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        items []
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (advance (); Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((k, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-(* Field accessors used by the decoders. *)
-let mem key = function Obj l -> List.assoc_opt key l | _ -> None
-
-let str_field ?default key j =
-  match (mem key j, default) with
-  | Some (Str s), _ -> s
-  | None, Some d -> d
-  | _ -> raise (Parse_error (Printf.sprintf "missing string field %S" key))
-
-let int_field ?default key j =
-  match (mem key j, default) with
-  | Some (Num f), _ -> int_of_float f
-  | None, Some d -> d
-  | _ -> raise (Parse_error (Printf.sprintf "missing int field %S" key))
-
-let float_field ?default key j =
-  match (mem key j, default) with
-  | Some (Num f), _ -> f
-  | None, Some d -> d
-  | _ -> raise (Parse_error (Printf.sprintf "missing number field %S" key))
-
-let bool_field ?default key j =
-  match (mem key j, default) with
-  | Some (Bool b), _ -> b
-  | None, Some d -> d
-  | _ -> raise (Parse_error (Printf.sprintf "missing bool field %S" key))
-
-let opt_int_field key j =
-  match mem key j with Some (Num f) -> Some (int_of_float f) | _ -> None
+let to_string = Json.to_string
+let of_string = Json.of_string
+let mem = Json.mem
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -446,42 +241,6 @@ let decode_request j =
   | exception Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Diagnostics as JSON values                                          *)
-(* ------------------------------------------------------------------ *)
-
-let json_of_diag (d : Diag.t) =
-  Obj
-    ([ ("code", Str d.Diag.code);
-       ("severity", Str (Diag.severity_label d.Diag.severity));
-       ("subject", Str d.Diag.subject);
-       ("message", Str d.Diag.message) ]
-    @ match d.Diag.span with
-      | Some { Diag.line; col } ->
-        [ ("line", Num (float_of_int line)); ("col", Num (float_of_int col)) ]
-      | None -> [])
-
-let diag_of_json j =
-  let severity =
-    match str_field ~default:"error" "severity" j with
-    | "warning" -> Diag.Warning
-    | "info" -> Diag.Info
-    | _ -> Diag.Error
-  in
-  let mk = match severity with
-    | Diag.Error -> Diag.error
-    | Diag.Warning -> Diag.warning
-    | Diag.Info -> Diag.info
-  in
-  let span =
-    match (opt_int_field "line" j, opt_int_field "col" j) with
-    | Some line, Some col -> Some { Diag.line; col }
-    | _ -> None
-  in
-  mk ?span ~code:(str_field ~default:"SOC000" "code" j)
-    ~subject:(str_field ~default:"" "subject" j)
-    (str_field ~default:"" "message" j)
-
-(* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -612,7 +371,7 @@ type response =
       wall_ms : float;
     }
 
-let diags_json diags = Arr (List.map json_of_diag diags)
+let diags_json diags = Arr (List.map (fun d -> Diag.to_json d) diags)
 
 let encode_state = function
   | Queued pos -> [ ("state", Str "queued"); ("position", Num (float_of_int pos)) ]
@@ -729,7 +488,7 @@ let encode_response = function
 
 let decode_diags j =
   match mem "diags" j with
-  | Some (Arr l) -> List.map diag_of_json l
+  | Some (Arr l) -> List.map Diag.of_json l
   | _ -> []
 
 let decode_response j =

@@ -3,13 +3,14 @@
     A frame is a 4-byte big-endian payload length followed by that many
     bytes of UTF-8 JSON. Both sides speak the same [request]/[response]
     vocabulary; diagnostics from the pre-flight static analyzer travel as
-    structured JSON objects (code / severity / subject / message / span),
-    never as flattened text. The JSON layer is self-contained — the repo
-    carries no JSON dependency. *)
+    structured JSON objects ({!Soc_util.Diag.to_json}), never as
+    flattened text. *)
 
-(** {2 JSON} *)
+(** {2 JSON}
 
-type json =
+    Re-exports of {!Soc_util.Json}, the repo's one JSON codec. *)
+
+type json = Soc_util.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -20,13 +21,12 @@ type json =
 exception Parse_error of string
 
 val to_string : json -> string
-(** Compact rendering; integral numbers print without a fraction. *)
+(** {!Soc_util.Json.to_string}. *)
 
 val of_string : string -> json
-(** Raises {!Parse_error} on malformed input or trailing content. *)
+(** {!Soc_util.Json.of_string}; raises {!Parse_error}. *)
 
 val mem : string -> json -> json option
-(** Object field lookup; [None] on non-objects. *)
 
 (** {2 Framing} *)
 
@@ -214,9 +214,6 @@ type response =
       cache_hits : int;  (** memory + disk hits on the daemon cache *)
       wall_ms : float;
     }
-
-val json_of_diag : Soc_util.Diag.t -> json
-val diag_of_json : json -> Soc_util.Diag.t
 
 val encode_response : response -> json
 val decode_response : json -> (response, string) result

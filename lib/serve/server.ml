@@ -588,7 +588,6 @@ let handle t (req : Protocol.request) : Protocol.response =
     Scheduler.drain t.sched;
     Scheduler.quiesce t.sched;
     let s = Scheduler.stats t.sched in
-    set_phase t (Drained (s.Scheduler.completed, s.Scheduler.failed));
     Protocol.Drained { completed = s.Scheduler.completed; failed = s.Scheduler.failed }
   | Protocol.Explore _ ->
     (* Streamed at session level; reaching here means a decode bug. *)
@@ -692,7 +691,17 @@ let session t sr =
         ->
         handle_explore t reply ~strategy ~seed ~budget_pct ~population ~generations
           ~samples ~width ~height
-      | Ok req -> reply (handle t req));
+      | Ok req ->
+        let r = handle t req in
+        (* A drain publishes its phase only once the reply is on the wire:
+           [wait] returning lets the caller [stop], which shuts every
+           session down. *)
+        Fun.protect
+          (fun () -> reply r)
+          ~finally:(fun () ->
+            match r with
+            | Protocol.Drained { completed; failed } -> set_phase t (Drained (completed, failed))
+            | _ -> ()));
       loop ()
     | Error (Protocol.Oversized { announced; limit }) ->
       (* The announced payload was never read (and never allocated), so

@@ -112,4 +112,5 @@ val session_count : t -> int
 val handle : t -> Protocol.request -> Protocol.response
 (** One request against the server state, no socket involved — the
     session loop's body, exposed for direct unit tests. [Result] and
-    [Drain] block exactly as they do over the wire. *)
+    [Drain] block exactly as they do over the wire; only the session
+    loop, once the [Drained] reply is sent, ends {!wait}. *)

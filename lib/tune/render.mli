@@ -6,6 +6,7 @@
     smoke asserts with [cmp]. *)
 
 val json_escape : string -> string
+(** {!Soc_util.Json.escape}. *)
 
 val frontier_json : Search.result -> string
 (** Multi-line JSON: strategy/seed/counters plus the frontier points

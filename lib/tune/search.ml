@@ -184,9 +184,9 @@ let run ?(on_round = fun _ -> ()) ?(chunk = 16) ~space ~eval strategy ~seed =
         finish_round st)
       (chunked chunk (List.init (max 1 n) (fun _ -> space.random rng)))
   | Greedy ->
-    (* The hill climb of lib/dse/explore.ml, generalized: repeatedly take
-       the neighbour with the best latency-improvement-per-extra-area
-       ratio; stop when no neighbour improves latency. *)
+    (* Hill climbing: repeatedly take the neighbour with the best
+       latency-improvement-per-extra-area ratio; stop when no neighbour
+       improves latency. *)
     let rec climb current cur_objs =
       let res = submit st (space.neighbours current) in
       finish_round st;

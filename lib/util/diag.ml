@@ -72,48 +72,34 @@ let to_string ?file t =
     (severity_label t.severity)
     t.code t.subject t.message
 
-(* Minimal JSON string escaping: enough for codes, port names and the
-   messages we generate (no control characters beyond \n\t). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let to_json ?file t : Json.t =
+  Json.Obj
+    (List.concat
+       [ (match file with Some f -> [ ("file", Json.Str f) ] | None -> []);
+         (match t.span with
+         | Some { line; col } ->
+           [ ("line", Json.Num (float_of_int line)); ("col", Json.Num (float_of_int col)) ]
+         | None -> []);
+         [ ("code", Json.Str t.code);
+           ("severity", Json.Str (severity_label t.severity));
+           ("subject", Json.Str t.subject);
+           ("message", Json.Str t.message) ] ])
 
-let to_json ?file t =
-  let fields =
-    List.concat
-      [
-        (match file with
-        | Some f -> [ Printf.sprintf {|"file":"%s"|} (json_escape f) ]
-        | None -> []);
-        (match t.span with
-        | Some { line; col } ->
-          [ Printf.sprintf {|"line":%d|} line; Printf.sprintf {|"col":%d|} col ]
-        | None -> []);
-        [
-          Printf.sprintf {|"code":"%s"|} (json_escape t.code);
-          Printf.sprintf {|"severity":"%s"|} (severity_label t.severity);
-          Printf.sprintf {|"subject":"%s"|} (json_escape t.subject);
-          Printf.sprintf {|"message":"%s"|} (json_escape t.message);
-        ];
-      ]
+let of_json j =
+  let severity =
+    match Json.str_field ~default:"error" "severity" j with
+    | "warning" -> Warning
+    | "info" -> Info
+    | _ -> Error
   in
-  "{" ^ String.concat "," fields ^ "}"
-
-let list_to_json ?file ds =
-  match ds with
-  | [] -> "[]"
-  | ds ->
-    "[\n  " ^ String.concat ",\n  " (List.map (to_json ?file) ds) ^ "\n]"
+  let span =
+    match (Json.opt_int_field "line" j, Json.opt_int_field "col" j) with
+    | Some line, Some col -> Some { line; col }
+    | _ -> None
+  in
+  make severity ?span
+    ~code:(Json.str_field ~default:"SOC000" "code" j)
+    ~subject:(Json.str_field ~default:"" "subject" j)
+    (Json.str_field ~default:"" "message" j)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

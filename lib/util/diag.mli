@@ -53,12 +53,15 @@ val to_string : ?file:string -> t -> string
 (** [file:line:col: severity[CODE] subject: message]; omits the position
     prefix when there is no span, and the file when [file] is absent. *)
 
-val to_json : ?file:string -> t -> string
-(** One JSON object with fields [code], [severity], [subject], [message]
-    and optionally [file], [line], [col]. *)
+val to_json : ?file:string -> t -> Json.t
+(** One JSON object with fields [file] (when given), [line] and [col]
+    (when spanned), then [code], [severity], [subject] and [message] — the
+    encoding of [check --format json], [doctor --format json] and the
+    wire protocol. *)
 
-val list_to_json : ?file:string -> t list -> string
-(** A JSON array of {!to_json} objects, newline-separated for
-    readability. *)
+val of_json : Json.t -> t
+(** Inverse of {!to_json} (the [file] field is ignored); missing fields
+    default to an error [SOC000] with empty subject and message. Raises
+    {!Json.Parse_error} on a field of the wrong type. *)
 
 val pp : Format.formatter -> t -> unit

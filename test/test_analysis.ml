@@ -33,7 +33,7 @@ let test_diag_rendering () =
     (Diag.to_string ~file:"t.tg" d);
   check Alcotest.string "text without file" "4:7: error[SOC031] a.x->b.y: rates differ"
     (Diag.to_string d);
-  let j = Diag.to_json ~file:"t.tg" d in
+  let j = Soc_util.Json.to_string (Diag.to_json ~file:"t.tg" d) in
   check Alcotest.string "json"
     {|{"file":"t.tg","line":4,"col":7,"code":"SOC031","severity":"error","subject":"a.x->b.y","message":"rates differ"}|}
     j

@@ -1,5 +1,6 @@
 (* Tests for the DSE extension: partition model, generated specs, the
-   generic host runner, and the exploration strategies. *)
+   generic host runner, the 16-point sweep and its Pareto front, and the
+   autotuner's greedy hill climb over the real Otsu space. *)
 
 module P = Soc_dse.Partition
 
@@ -122,79 +123,89 @@ let test_mixed_partition_threshold () =
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The 16-point sweep: every partition through one shared HLS cache. *)
 let sweep =
-  lazy (Soc_dse.Explore.exhaustive ~width:16 ~height:16 ())
+  lazy
+    (let hls = Soc_farm.Cache.hls_engine (Soc_farm.Cache.create ()) in
+     let before = Soc_hls.Engine.invocation_count () in
+     let points = List.map (fun p -> Soc_dse.Runner.evaluate ~width:16 ~height:16 ~hls p) (P.enumerate ()) in
+     (points, Soc_hls.Engine.invocation_count () - before))
+
+let cycles_lut (p : Soc_dse.Runner.point) =
+  (p.Soc_dse.Runner.cycles, p.Soc_dse.Runner.resources.Soc_hls.Report.lut)
+
+let front points =
+  Soc_tune.Pareto.front
+    ~objectives:(fun p ->
+      let c, l = cycles_lut p in
+      [| float_of_int c; float_of_int l |])
+    points
 
 let test_exhaustive_counts () =
-  let r = Lazy.force sweep in
-  check Alcotest.int "16 evaluations" 16 r.Soc_dse.Explore.evaluations
+  let points, engine_runs = Lazy.force sweep in
+  check Alcotest.int "16 evaluations" 16 (List.length points);
+  check Alcotest.int "each of the 4 kernels synthesized once" 4 engine_runs
 
 let test_pareto_properties () =
-  let r = Lazy.force sweep in
-  let front = Soc_dse.Explore.pareto r.Soc_dse.Explore.points in
+  let points, _ = Lazy.force sweep in
+  let front = front points in
   check Alcotest.bool "front non-empty" true (front <> []);
+  let dominates a b =
+    let (ca, la), (cb, lb) = (cycles_lut a, cycles_lut b) in
+    ca <= cb && la <= lb && (ca < cb || la < lb)
+  in
   (* No front point dominates another front point. *)
   List.iter
-    (fun (a : Soc_dse.Runner.point) ->
+    (fun a ->
       List.iter
-        (fun (b : Soc_dse.Runner.point) ->
-          if a != b then
-            let dominates =
-              a.Soc_dse.Runner.cycles <= b.Soc_dse.Runner.cycles
-              && a.Soc_dse.Runner.resources.Soc_hls.Report.lut
-                 <= b.Soc_dse.Runner.resources.Soc_hls.Report.lut
-              && (a.Soc_dse.Runner.cycles < b.Soc_dse.Runner.cycles
-                 || a.Soc_dse.Runner.resources.Soc_hls.Report.lut
-                    < b.Soc_dse.Runner.resources.Soc_hls.Report.lut)
-            in
-            if dominates then Alcotest.fail "front contains dominated point")
+        (fun b -> if a != b && dominates a b then Alcotest.fail "front contains dominated point")
         front)
     front;
   (* Every non-front point is dominated by some front point. *)
   List.iter
-    (fun (p : Soc_dse.Runner.point) ->
-      if not (List.exists (fun (q : Soc_dse.Runner.point) -> q == p) front) then
-        let dominated =
-          List.exists
-            (fun (q : Soc_dse.Runner.point) ->
-              q.Soc_dse.Runner.cycles <= p.Soc_dse.Runner.cycles
-              && q.Soc_dse.Runner.resources.Soc_hls.Report.lut
-                 <= p.Soc_dse.Runner.resources.Soc_hls.Report.lut)
-            front
-        in
-        check Alcotest.bool "dominated by front" true dominated)
-    r.Soc_dse.Explore.points;
+    (fun p ->
+      if not (List.memq p front) then
+        check Alcotest.bool "dominated by front" true (List.exists (fun q -> dominates q p) front))
+    points;
   (* The all-SW point (0 LUT) is always on the front. *)
   check Alcotest.bool "SW on front" true
-    (List.exists
-       (fun (q : Soc_dse.Runner.point) -> P.is_all_sw q.Soc_dse.Runner.partition)
-       front)
+    (List.exists (fun (q : Soc_dse.Runner.point) -> P.is_all_sw q.Soc_dse.Runner.partition) front)
+
+(* The autotuner's greedy strategy over the full space: the partition
+   hill climb at the default FIFO, schedule and FU knobs. *)
+let greedy =
+  lazy
+    (Soc_dse.Tuner.run
+       { Soc_dse.Tuner.default_options with
+         Soc_dse.Tuner.strategy = Soc_tune.Search.Greedy; width = 16; height = 16 })
+      .Soc_dse.Tuner.search
 
 let test_greedy_descends () =
-  let g = Soc_dse.Explore.greedy ~width:16 ~height:16 () in
-  let cycles = List.map (fun (p : Soc_dse.Runner.point) -> p.Soc_dse.Runner.cycles) g.Soc_dse.Explore.points in
-  let rec decreasing = function
-    | a :: (b :: _ as rest) -> a > b && decreasing rest
-    | _ -> true
+  let r = Lazy.force greedy in
+  let cycles sig_ =
+    let key = sig_ ^ "/f1024/list/std" in
+    (List.find (fun (p : Soc_tune.Search.point) -> p.Soc_tune.Search.key = key)
+       r.Soc_tune.Search.points).Soc_tune.Search.cycles
   in
-  check Alcotest.bool "strictly improving trajectory" true (decreasing cycles);
-  check Alcotest.bool "starts all-SW" true
-    (P.is_all_sw (List.hd g.Soc_dse.Explore.points).Soc_dse.Runner.partition);
-  check Alcotest.bool "fewer evals than exhaustive would need at scale" true
-    (g.Soc_dse.Explore.evaluations <= 16)
+  check Alcotest.string "starts all-SW" "SSSS/f1024/list/std"
+    (List.hd r.Soc_tune.Search.points).Soc_tune.Search.key;
+  (* The accepted trajectory SSSS -> HSSS -> HHSS improves strictly at
+     every step; the cycles are the golden ones below. *)
+  check (Alcotest.list Alcotest.int) "strictly improving trajectory" [ 16371; 15384; 12944 ]
+    (List.map cycles [ "SSSS"; "HSSS"; "HHSS" ]);
+  check Alcotest.string "endpoint" "HHSS/f1024/list/std"
+    (Option.get (Soc_tune.Render.winner r)).Soc_tune.Search.key;
+  check Alcotest.int "10 evaluations, fewer than exhaustive" 10 r.Soc_tune.Search.evaluated
 
 let test_greedy_endpoint_not_dominated () =
-  let r = Lazy.force sweep in
-  let g = Soc_dse.Explore.greedy ~width:16 ~height:16 () in
-  let last = List.nth g.Soc_dse.Explore.points (List.length g.Soc_dse.Explore.points - 1) in
+  let points, _ = Lazy.force sweep in
+  let last = Option.get (Soc_tune.Render.winner (Lazy.force greedy)) in
   (* No exhaustive point strictly beats the greedy endpoint on latency. *)
   let best_cycles =
-    List.fold_left
-      (fun acc (p : Soc_dse.Runner.point) -> min acc p.Soc_dse.Runner.cycles)
-      max_int r.Soc_dse.Explore.points
+    List.fold_left (fun acc p -> min acc (fst (cycles_lut p))) max_int points
   in
   check Alcotest.bool "greedy reaches within 25% of the best latency" true
-    (float_of_int last.Soc_dse.Runner.cycles <= 1.25 *. float_of_int best_cycles)
+    (float_of_int last.Soc_tune.Search.cycles <= 1.25 *. float_of_int best_cycles)
 
 (* Property: spec_of never produces a spec whose validation fails, for any
    random signature. *)

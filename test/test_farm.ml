@@ -193,13 +193,13 @@ let test_plan_ownership_by_batch_order () =
 (* ------------------------------------------------------------------ *)
 
 let test_batch_matches_serial_flow () =
-  (* The farm must produce bit-identical build records to the serial
-     legacy path (shared name-keyed cache, same batch order). *)
+  (* The farm must produce bit-identical build records to serial
+     Flow.build calls sharing one cache, in batch order. *)
   let serial =
-    let table = Hashtbl.create 8 in
+    let hls = Cache.hls_engine (Cache.create ()) in
     List.map
       (fun (e : Jobgraph.entry) ->
-        digest (Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels))
+        digest (Flow.build ~hls e.Jobgraph.spec ~kernels:e.Jobgraph.kernels))
       (entries ())
   in
   let r = Farm.build_batch ~jobs:4 (entries ()) in
@@ -353,21 +353,6 @@ let test_reuse_agreement () =
   check Alcotest.bool "Arch4 pays only for its own kernels" true
     (hls_seconds (by 3) > 0.0)
 
-let test_deprecated_hls_cache_wrapper () =
-  (* The back-compat wrapper keeps the historical semantics: shared table,
-     name-keyed discounts, second build's HLS phase costs nothing. *)
-  let table = Hashtbl.create 8 in
-  let e = List.nth (entries ()) 0 in
-  let b1 = Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels in
-  let b2 = Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels in
-  check Alcotest.bool "first build charged" true (hls_seconds b1 > 0.0);
-  check (Alcotest.float 1e-9) "second build free" 0.0 (hls_seconds b2);
-  (* ... but unlike the farm cache it still re-ran the engine. *)
-  let before = Soc_hls.Engine.invocation_count () in
-  ignore (Flow.build ~hls_cache:table e.Jobgraph.spec ~kernels:e.Jobgraph.kernels);
-  check Alcotest.int "legacy path re-synthesizes" 1
-    (Soc_hls.Engine.invocation_count () - before)
-
 let test_flow_hls_hook () =
   (* Flow.build with the farm cache engine: second call does no HLS work. *)
   let cache = Cache.create () in
@@ -399,9 +384,29 @@ let test_trace_spans_and_json () =
   let json = Trace.to_chrome_json r.Farm.trace in
   check Alcotest.bool "chrome trace envelope" true
     (Tstr.contains json "\"traceEvents\"" && Tstr.contains json "\"ph\":\"X\"");
+  check Alcotest.int "one event per span and counter"
+    (List.length spans + List.length (Trace.counters r.Farm.trace))
+    (match Soc_util.Json.(mem "traceEvents" (of_string json)) with
+    | Some (Soc_util.Json.Arr events) -> List.length events
+    | _ -> -1);
   check Alcotest.bool "counters exported" true (Tstr.contains json "cache.misses");
   check Alcotest.int "cache misses counted" 4
     (List.assoc "cache.misses" (Trace.counters r.Farm.trace))
+
+(* The manifest is a contract: CI and clients compare it with cmp(1).
+   These bytes were produced before the JSON codec was unified. *)
+let test_manifest_golden_bytes () =
+  let r = Farm.build_batch ~jobs:2 (entries ()) in
+  check Alcotest.string "Arch1-4 manifest, byte for byte"
+    (String.concat "\n"
+       [ "[";
+         "  {\"index\": 0, \"design\": \"otsu_arch1\", \"digest\": \"9a7e52440b130ce85804612e7e08b391\"},";
+         "  {\"index\": 1, \"design\": \"otsu_arch2\", \"digest\": \"bfdc72b017b87f7577b0c7f95dc88628\"},";
+         "  {\"index\": 2, \"design\": \"otsu_arch3\", \"digest\": \"95ab37ead48990924b13b30132d924ea\"},";
+         "  {\"index\": 3, \"design\": \"otsu\", \"digest\": \"a23fa4e82f58c265b8ae49cb1367b8d8\"}";
+         "]";
+         "" ])
+    (Farm.manifest_json r)
 
 let test_report_rendering () =
   let r = Farm.build_batch ~jobs:2 (entries ()) in
@@ -436,10 +441,10 @@ let suite =
     ("batch: hung job hits deadline", `Quick, test_batch_hung_job_deadline);
     ("batch: missing kernel reported", `Quick, test_batch_missing_kernel_is_structured);
     ("reuse: estimate = actual", `Quick, test_reuse_agreement);
-    ("deprecated hls_cache wrapper", `Quick, test_deprecated_hls_cache_wrapper);
     ("flow hls hook + farm cache", `Quick, test_flow_hls_hook);
     ("trace spans + chrome json", `Quick, test_trace_spans_and_json);
     ("report rendering", `Quick, test_report_rendering);
+    ("manifest golden bytes", `Quick, test_manifest_golden_bytes);
     qtest prop_jobs_count_invariant;
     qtest prop_transient_faults_converge;
   ]

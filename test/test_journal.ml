@@ -243,6 +243,29 @@ let test_doctor_fsck_repairs () =
   check Alcotest.int "second pass: nothing to repair" (n - 1) r2.Cache.fsck_ok;
   check Alcotest.int "second pass: no quarantines" 0 (List.length r2.Cache.fsck_quarantined)
 
+(* [socdsl doctor --format json] end to end: the CLI's output must parse
+   with the repo's JSON codec and report the repair it just made. *)
+let test_doctor_json_parses () =
+  let dir = fresh_dir "socdoc" in
+  ignore (Farm.build_batch ~jobs:1 ~cache:(Cache.create ~disk_dir:dir ()) (entry1 ()));
+  write_file_raw (Filename.concat dir "x.accel.tmp.7.0") "partial \"quoted\"\n";
+  let ic = Unix.open_process_args_in "../bin/socdsl.exe" [| "socdsl"; "doctor"; "--format"; "json"; dir |] in
+  let out = In_channel.input_all ic in
+  check Alcotest.bool "doctor exits 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+  let module Json = Soc_util.Json in
+  let j = Json.of_string out in
+  let orphans =
+    match Option.bind (Json.mem "cache" j) (Json.mem "orphans") with
+    | Some (Json.Arr l) -> l
+    | _ -> Alcotest.fail "no cache.orphans array"
+  in
+  check Alcotest.bool "orphan temp reported" true
+    (List.exists (function Json.Str s -> Tstr.contains s "x.accel.tmp.7.0" | _ -> false) orphans);
+  check Alcotest.bool "diags carried as objects" true
+    (match Json.mem "diags" j with
+    | Some (Json.Arr ds) -> ds <> [] && List.for_all (fun d -> Json.mem "code" d <> None) ds
+    | _ -> false)
+
 let prop_doctor_never_raises =
   QCheck.Test.make ~name:"doctor: never raises on fuzzed cache dirs" ~count:20
     QCheck.(pair (int_range 0 1000000) (int_range 1 200))
@@ -409,6 +432,7 @@ let suite =
     qtest prop_corrupt_artifact_recovers;
     ("cache: stale version noted once", `Quick, test_stale_version_noted_once);
     ("doctor: quarantine + orphan repair", `Quick, test_doctor_fsck_repairs);
+    ("doctor: --format json parses", `Quick, test_doctor_json_parses);
     qtest prop_doctor_never_raises;
     ("cache: LRU cap spares journal-live entries", `Quick, test_lru_cap_spares_protected);
     ("kill-point campaign: resume == uninterrupted", `Slow, test_kill_point_campaign);

@@ -2,8 +2,8 @@
    a brute-force oracle), seeded strategy determinism on both a synthetic
    space and the real Otsu space, warm-vs-cold farm-backed evaluation
    (strictly fewer engine invocations, byte-identical frontier JSON), the
-   legacy Explore.pareto wrapper, and the streaming explore op end-to-end
-   over a live daemon. *)
+   frontier JSON bytes of a small seeded sweep, and the streaming explore
+   op end-to-end over a live daemon. *)
 
 module Pareto = Soc_tune.Pareto
 module Search = Soc_tune.Search
@@ -209,45 +209,44 @@ let test_budget_gate_prunes_pre_hls () =
 
 let test_greedy_matches_legacy_trajectory () =
   (* Tuner's greedy over the full space holds FIFO/schedule knobs at the
-     legacy sweep's values, so its accepted latencies must agree with
-     Explore.greedy on the same image. *)
+     defaults, so it must end where the hand-rolled partition hill climb
+     it replaced ended on the same 8x8 image: HHSS at 9821 cycles, after
+     10 evaluations. *)
   let o =
     Tuner.run ~cache:(Cache.create ())
       { (small_opts Search.Greedy 1) with Tuner.mode = `Rtl }
   in
-  let legacy = Soc_dse.Explore.greedy ~width:8 ~height:8 () in
-  let final = List.nth legacy.Soc_dse.Explore.points
-      (List.length legacy.Soc_dse.Explore.points - 1) in
   let best = Option.get (Render.winner o.Tuner.search) in
-  check Alcotest.int "greedy endpoint cycles match legacy" final.Soc_dse.Runner.cycles
-    best.Search.cycles
+  check Alcotest.string "greedy endpoint" "HHSS/f1024/list/std" best.Search.key;
+  check Alcotest.int "greedy endpoint cycles" 9821 best.Search.cycles;
+  check Alcotest.int "greedy evaluations" 10 o.Tuner.search.Search.evaluated
 
-(* ------------------------------------------------------------------ *)
-(* The legacy 2-objective wrapper                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_explore_pareto_wrapper () =
-  let r = Soc_dse.Explore.exhaustive ~width:8 ~height:8 () in
-  let front = Soc_dse.Explore.pareto r.Soc_dse.Explore.points in
-  let obj (p : Soc_dse.Runner.point) =
-    [| float_of_int p.Soc_dse.Runner.cycles;
-       float_of_int p.Soc_dse.Runner.resources.Soc_hls.Report.lut |]
-  in
-  check Alcotest.bool "front non-empty" true (front <> []);
-  List.iter
-    (fun p ->
-      check Alcotest.bool "wrapper front undominated" false
-        (List.exists
-           (fun q -> Pareto.dominates (obj q) (obj p))
-           r.Soc_dse.Explore.points))
-    front;
-  (* Sorted by (cycles, lut) ascending, no duplicates. *)
-  let rec sorted = function
-    | a :: (b :: _ as rest) ->
-      compare (obj a) (obj b) < 0 && sorted rest
-    | _ -> true
-  in
-  check Alcotest.bool "canonical order" true (sorted front)
+(* The frontier JSON is a contract: CI compares it with cmp(1). These
+   bytes were produced before the JSON codec was unified; the DSL texts
+   exercise the string escaping. *)
+let test_frontier_golden_bytes () =
+  let o = Tuner.run ~cache:(Cache.create ()) (small_opts (Search.Random 4) 7) in
+  check Alcotest.string "random-4 frontier, byte for byte"
+    (String.concat "\n"
+       [ "{";
+         "  \"space\": \"otsu\",";
+         "  \"strategy\": \"random\",";
+         "  \"seed\": 7,";
+         "  \"objectives\": [\"latency_us\", \"lut\", \"ff\", \"bram18\", \"dsp\"],";
+         "  \"proposed\": 4,";
+         "  \"evaluated\": 4,";
+         "  \"infeasible\": 0,";
+         "  \"failed\": 0,";
+         "  \"rounds\": 1,";
+         "  \"frontier\": [";
+         "    {\"key\": \"HHHH/f4096/asap/std\", \"latency_us\": 6.200, \"cycles\": 620, \"lut\": 12668, \"ff\": 7019, \"bram18\": 36, \"dsp\": 5, \"dsl\": \"object hw_HHHH extends App {\\n  tg nodes;\\n    tg node \\\"grayScale\\\" is \\\"imageIn\\\" is \\\"imageOutCH\\\" is \\\"imageOutSEG\\\" end;\\n    tg node \\\"computeHistogram\\\" is \\\"grayScaleImage\\\" is \\\"histogram\\\" end;\\n    tg node \\\"halfProbability\\\" is \\\"histogram\\\" is \\\"probability\\\" end;\\n    tg node \\\"segment\\\" is \\\"grayScaleImage\\\" is \\\"otsuThreshold\\\" is \\\"segmentedGrayImage\\\" end;\\n  tg end_nodes;\\n  tg edges;\\n    tg link 'soc to (\\\"grayScale\\\", \\\"imageIn\\\") end;\\n    tg link (\\\"segment\\\", \\\"segmentedGrayImage\\\") to 'soc end;\\n    tg link (\\\"grayScale\\\", \\\"imageOutCH\\\") to (\\\"computeHistogram\\\", \\\"grayScaleImage\\\") end;\\n    tg link (\\\"grayScale\\\", \\\"imageOutSEG\\\") to (\\\"segment\\\", \\\"grayScaleImage\\\") end;\\n    tg link (\\\"computeHistogram\\\", \\\"histogram\\\") to (\\\"halfProbability\\\", \\\"histogram\\\") end;\\n    tg link (\\\"halfProbability\\\", \\\"probability\\\") to (\\\"segment\\\", \\\"otsuThreshold\\\") end;\\n  tg end_edges;\\n}\\n\"},";
+         "    {\"key\": \"HHHS/f2048/list/std\", \"latency_us\": 9.030, \"cycles\": 903, \"lut\": 12820, \"ff\": 7696, \"bram18\": 13, \"dsp\": 3, \"dsl\": \"object hw_HHHS extends App {\\n  tg nodes;\\n    tg node \\\"grayScale\\\" is \\\"imageIn\\\" is \\\"imageOutCH\\\" is \\\"imageOutSEG\\\" end;\\n    tg node \\\"computeHistogram\\\" is \\\"grayScaleImage\\\" is \\\"histogram\\\" end;\\n    tg node \\\"halfProbability\\\" is \\\"histogram\\\" is \\\"probability\\\" end;\\n  tg end_nodes;\\n  tg edges;\\n    tg link 'soc to (\\\"grayScale\\\", \\\"imageIn\\\") end;\\n    tg link (\\\"grayScale\\\", \\\"imageOutCH\\\") to (\\\"computeHistogram\\\", \\\"grayScaleImage\\\") end;\\n    tg link (\\\"grayScale\\\", \\\"imageOutSEG\\\") to 'soc end;\\n    tg link (\\\"computeHistogram\\\", \\\"histogram\\\") to (\\\"halfProbability\\\", \\\"histogram\\\") end;\\n    tg link (\\\"halfProbability\\\", \\\"probability\\\") to 'soc end;\\n  tg end_edges;\\n}\\n\"},";
+         "    {\"key\": \"HSHH/f2048/asap/narrow\", \"latency_us\": 34.710, \"cycles\": 3471, \"lut\": 15204, \"ff\": 12432, \"bram18\": 11, \"dsp\": 5, \"dsl\": \"object hw_HSHH extends App {\\n  tg nodes;\\n    tg node \\\"grayScale\\\" is \\\"imageIn\\\" is \\\"imageOutCH\\\" is \\\"imageOutSEG\\\" end;\\n    tg node \\\"halfProbability\\\" is \\\"histogram\\\" is \\\"probability\\\" end;\\n    tg node \\\"segment\\\" is \\\"grayScaleImage\\\" is \\\"otsuThreshold\\\" is \\\"segmentedGrayImage\\\" end;\\n  tg end_nodes;\\n  tg edges;\\n    tg link 'soc to (\\\"grayScale\\\", \\\"imageIn\\\") end;\\n    tg link (\\\"segment\\\", \\\"segmentedGrayImage\\\") to 'soc end;\\n    tg link (\\\"grayScale\\\", \\\"imageOutCH\\\") to 'soc end;\\n    tg link (\\\"grayScale\\\", \\\"imageOutSEG\\\") to 'soc end;\\n    tg link 'soc to (\\\"segment\\\", \\\"grayScaleImage\\\") end;\\n    tg link 'soc to (\\\"halfProbability\\\", \\\"histogram\\\") end;\\n    tg link (\\\"halfProbability\\\", \\\"probability\\\") to (\\\"segment\\\", \\\"otsuThreshold\\\") end;\\n  tg end_edges;\\n}\\n\"},";
+         "    {\"key\": \"SSHS/f2048/list/narrow\", \"latency_us\": 46.230, \"cycles\": 4623, \"lut\": 7390, \"ff\": 4506, \"bram18\": 3, \"dsp\": 1, \"dsl\": \"object hw_SSHS extends App {\\n  tg nodes;\\n    tg node \\\"halfProbability\\\" is \\\"histogram\\\" is \\\"probability\\\" end;\\n  tg end_nodes;\\n  tg edges;\\n    tg link 'soc to (\\\"halfProbability\\\", \\\"histogram\\\") end;\\n    tg link (\\\"halfProbability\\\", \\\"probability\\\") to 'soc end;\\n  tg end_edges;\\n}\\n\"}";
+         "  ]";
+         "}";
+         "" ])
+    (Render.frontier_json o.Tuner.search)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming explore over a live daemon                                *)
@@ -332,7 +331,7 @@ let suite =
     Alcotest.test_case "warm re-sweep fewer invocations" `Quick test_warm_resweep_fewer_invocations;
     Alcotest.test_case "budget gate prunes pre-HLS" `Quick test_budget_gate_prunes_pre_hls;
     Alcotest.test_case "greedy matches legacy trajectory" `Quick test_greedy_matches_legacy_trajectory;
-    Alcotest.test_case "Explore.pareto wrapper" `Quick test_explore_pareto_wrapper;
+    Alcotest.test_case "frontier JSON golden bytes" `Quick test_frontier_golden_bytes;
     Alcotest.test_case "serve explore round trip" `Quick test_serve_explore_round_trip;
     Alcotest.test_case "protocol explore codecs" `Quick test_protocol_explore_codecs;
   ]
